@@ -11,7 +11,6 @@ from .dynamics import (
     diffusion_matrix,
     drift_from_rates,
     drift_matrix,
-    effective_frequency,
     integrate_lyapunov,
     is_stable_rh,
     is_stable_spectral,
@@ -32,7 +31,6 @@ from .params import (
     ModelParams,
     PhysicalParams,
     default_params,
-    denormalize,
     derive_model,
     load_config,
     normalize,
@@ -85,12 +83,10 @@ __all__ = [
     "classify_regime",
     "cooling_limit",
     "default_params",
-    "denormalize",
     "derive_model",
     "diffusion_matrix",
     "drift_from_rates",
     "drift_matrix",
-    "effective_frequency",
     "figure_command",
     "hysteresis",
     "integrate_lyapunov",

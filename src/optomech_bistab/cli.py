@@ -38,8 +38,6 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="points per sweep axis (figure/sweep defaults if omitted)")
     parser.add_argument("--branch", choices=harness.BRANCH_CHOICES,
                         default="both", help="branch selection for sweeps")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel workers for sweep rows")
     parser.add_argument("--validity-threshold", type=float,
                         default=quantum.VALIDITY_THRESHOLD,
                         help="linearization validity bound on n_o/|alpha_s|^2")
@@ -117,18 +115,9 @@ def _cmd_steady(args) -> int:
     physical = _load_physical(args)
     mp = derive_model(physical)
     points = steady.steady_states(mp)
-    columns = ("P_in_W", "branch", "q_s", "photons", "Delta_over_wm",
-               "G_over_wm", "eta", "stable")
-    rows = [{
-        "P_in_W": physical.power,
-        "branch": wp.branch,
-        "q_s": wp.q_s,
-        "photons": wp.photons,
-        "Delta_over_wm": wp.delta / mp.omega_m,
-        "G_over_wm": wp.G / mp.omega_m,
-        "eta": wp.eta,
-        "stable": wp.stable,
-    } for wp in points]
+    columns = ("P_in_W", *harness._POINT_COLUMNS)
+    rows = [{"P_in_W": physical.power, **harness._point_fields(wp, mp)}
+            for wp in points]
     result = harness.SweepResult(columns=columns, rows=rows, meta={
         "kappa_over_wm": repr(mp.kappa / mp.omega_m),
         "nbar": repr(mp.nbar),
@@ -153,7 +142,7 @@ def _cmd_sweep(args) -> int:
     spec = harness.SweepSpec(
         base=mp, physical=physical, axis1=axis1, axis2=axis2,
         branch=args.branch, validity_threshold=args.validity_threshold)
-    result = harness.sweep(spec, threads=args.threads)
+    result = harness.sweep(spec)
     path = harness.write_csv(result, args.out / "sweep.csv", __version__)
     print(f"wrote {path} ({len(result.rows)} rows)")
     return EXIT_OK
@@ -162,7 +151,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_figure(args) -> int:
     physical = _load_physical(args)
     paths = harness.figure_command(
-        args.id, physical, args.out, grid=args.grid, threads=args.threads,
+        args.id, physical, args.out, grid=args.grid,
         validity_threshold=args.validity_threshold, version=__version__)
     for path in paths:
         print(f"wrote {path}")

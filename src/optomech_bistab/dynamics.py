@@ -91,14 +91,6 @@ def decay_rate(A: np.ndarray) -> float:
     return float(-np.linalg.eigvals(A).real.max())
 
 
-def effective_frequency(delta: float, G: float, kappa: float,
-                        omega_m: float) -> float:
-    """Adiabatic spring frequency omega_m * eta (diagnostic only)."""
-    from .steady import bistability_parameter
-
-    return omega_m * bistability_parameter(delta, G, kappa, omega_m)
-
-
 def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Unique symmetric V with A V + V A^T + D = 0.
 
@@ -226,16 +218,3 @@ def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
     ])
     ev = np.abs(np.linalg.eigvals(1j * omega @ V))
     return np.sort(ev)[::2]  # values come in equal pairs
-
-
-def is_physical(V: np.ndarray, slack: float = 1e-9) -> bool:
-    """Symmetry plus uncertainty principle, with numerical slack."""
-    scale = max(np.abs(V).max(), 1.0)
-    if np.abs(V - V.T).max() > 1e-10 * scale:
-        return False
-    return bool(symplectic_eigenvalues(V).min() >= 0.5 - slack)
-
-
-def matrix_csv_row(M: np.ndarray) -> str:
-    """Row-major 16-column CSV line of a 4x4 matrix (debug serialization)."""
-    return ",".join(repr(float(x)) for x in np.asarray(M).reshape(-1))

@@ -15,11 +15,8 @@ from __future__ import annotations
 
 import datetime
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-
-from scipy.constants import hbar as _HBAR
 
 from . import dynamics, quantum, steady
 from .errors import IllConditionedError, ValidationError
@@ -32,6 +29,7 @@ from .params import (
     with_power,
     with_temperature,
 )
+from .steady import bistable_window_estimate
 
 EXPERIMENTAL_AXES = ("power", "bare_detuning", "temperature")
 THEORETICAL_AXES = ("effective_detuning", "eta", "coupling")
@@ -62,6 +60,14 @@ _OUTPUT_COLUMNS = {
     "E_N": ("E_N",),
     "validity": ("validity_ok", "validity_ratio"),
 }
+
+# steady-state fields every row carries, in CSV column order
+_POINT_COLUMNS = ("branch", "q_s", "photons", "Delta_over_wm", "G_over_wm",
+                  "eta", "stable")
+
+# covariance-derived fields, NaN on rows that get no covariance
+_COVARIANCE_COLUMNS = ("n_m", "n_o", "Sigma", "detV", "E_N", "validity_ratio",
+                       "validity_ok")
 
 FIGURE_IDS = ("fig2", "fig3a", "fig3b", "fig4", "fig5a", "fig5b", "fig6")
 
@@ -170,6 +176,13 @@ def validate_spec(spec: SweepSpec) -> None:
         raise ValidationError("validity_threshold: must be positive")
 
 
+def _point_fields(wp: steady.WorkingPoint, mp: ModelParams) -> dict:
+    """The steady-state fields of a CSV row, rates in units of omega_m."""
+    return dict(zip(_POINT_COLUMNS, (
+        wp.branch, wp.q_s, wp.photons, wp.delta / mp.omega_m,
+        wp.G / mp.omega_m, wp.eta, wp.stable)))
+
+
 def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams,
                    validity_threshold: float = quantum.VALIDITY_THRESHOLD) -> dict:
     """One pipeline row: steady-state point -> covariance -> observables.
@@ -177,22 +190,7 @@ def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams,
     Unstable, marginal, degenerate and ill-conditioned points keep their
     steady-state fields but carry no covariance-derived values.
     """
-    row = {
-        "branch": wp.branch,
-        "q_s": wp.q_s,
-        "photons": wp.photons,
-        "Delta_over_wm": wp.delta / mp.omega_m,
-        "G_over_wm": wp.G / mp.omega_m,
-        "eta": wp.eta,
-        "n_m": None,
-        "n_o": None,
-        "Sigma": None,
-        "detV": None,
-        "E_N": None,
-        "validity_ratio": None,
-        "validity_ok": None,
-        "stable": wp.stable,
-    }
+    row = {**_point_fields(wp, mp), **dict.fromkeys(_COVARIANCE_COLUMNS)}
     if wp.degenerate:
         row["status"] = STATUS_DEGENERATE
         return row
@@ -270,14 +268,8 @@ def _cell_rows(spec: SweepSpec, values: dict[str, float]) -> list[dict]:
         try:
             row = evaluate_point(wp, mp, spec.validity_threshold)
         except Exception as exc:  # failures are data, not aborts
-            row = {
-                "branch": wp.branch, "q_s": wp.q_s, "photons": wp.photons,
-                "Delta_over_wm": wp.delta / mp.omega_m,
-                "G_over_wm": wp.G / mp.omega_m, "eta": wp.eta,
-                "n_m": None, "n_o": None, "Sigma": None, "detV": None,
-                "E_N": None, "validity_ratio": None, "validity_ok": None,
-                "stable": wp.stable, "status": f"{STATUS_ERROR}:{type(exc).__name__}",
-            }
+            row = {**_point_fields(wp, mp),
+                   "status": f"{STATUS_ERROR}:{type(exc).__name__}"}
         rows.append({**axis_cols, **row})
     return rows
 
@@ -293,32 +285,21 @@ def sweep_columns(spec: SweepSpec) -> tuple[str, ...]:
     return tuple(cols)
 
 
-def sweep(spec: SweepSpec, threads: int = 1) -> SweepResult:
+def sweep(spec: SweepSpec) -> SweepResult:
     """Run the pipeline over the grid; row order is axis2-major, then
-    axis1, then branch. Deterministic for a given spec, regardless of
-    ``threads``."""
+    axis1, then branch. Deterministic for a given spec."""
     validate_spec(spec)
     axis2_values = spec.axis2.values if spec.axis2 is not None else (None,)
 
-    cells = []
+    columns = sweep_columns(spec)
+    rows = []
     for v2 in axis2_values:
         for v1 in spec.axis1.values:
             values = {spec.axis1.name: v1}
             if spec.axis2 is not None:
                 values[spec.axis2.name] = v2
-            cells.append(values)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_cell = list(pool.map(lambda v: _cell_rows(spec, v), cells))
-    else:
-        per_cell = [_cell_rows(spec, v) for v in cells]
-
-    columns = sweep_columns(spec)
-    rows = []
-    for cell in per_cell:
-        for raw in cell:
-            rows.append({col: raw.get(col) for col in columns})
+            for raw in _cell_rows(spec, values):
+                rows.append({col: raw.get(col) for col in columns})
 
     meta = {
         "axis1": f"{spec.axis1.name}[{len(spec.axis1.values)}]",
@@ -374,46 +355,14 @@ def linear_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
     return tuple(lo + i * step for i in range(n))
 
 
-def bistable_window_estimate(mp: ModelParams,
-                             omega_L: float) -> tuple[float, float] | None:
-    """(switch-down, switch-up) powers from the turning points of the
-    steady-state cubic; None when the response is single-valued. Used only
-    to centre default figure grids."""
-    disc = mp.delta0 ** 2 - 3.0 * mp.kappa ** 2
-    if disc <= 0 or mp.G0 <= 0 or mp.delta0 <= 0:
-        return None
-
-    def power_at(q):
-        delta = mp.delta0 - mp.G0 * q
-        e2 = mp.omega_m * q * (mp.kappa ** 2 + delta ** 2) / mp.G0
-        return _HBAR * omega_L * e2 / (2.0 * mp.kappa)
-
-    root = math.sqrt(disc)
-    q_lo = (2.0 * mp.delta0 - root) / (3.0 * mp.G0)  # local max of the cubic
-    q_hi = (2.0 * mp.delta0 + root) / (3.0 * mp.G0)  # local min
-    return power_at(q_hi), power_at(q_lo)
-
-
 def _hysteresis_rows(trace: steady.HysteresisTrace,
                      mp: ModelParams) -> SweepResult:
-    columns = ("P_in_W", "branch", "q_s", "photons", "Delta_over_wm",
-               "G_over_wm", "eta", "stable", "on_up_sweep", "on_down_sweep")
-    rows = []
-    for power, pts, up, down in zip(trace.powers, trace.points, trace.up,
-                                    trace.down):
-        for wp in pts:
-            rows.append({
-                "P_in_W": power,
-                "branch": wp.branch,
-                "q_s": wp.q_s,
-                "photons": wp.photons,
-                "Delta_over_wm": wp.delta / mp.omega_m,
-                "G_over_wm": wp.G / mp.omega_m,
-                "eta": wp.eta,
-                "stable": wp.stable,
-                "on_up_sweep": wp is up,
-                "on_down_sweep": wp is down,
-            })
+    columns = ("P_in_W", *_POINT_COLUMNS, "on_up_sweep", "on_down_sweep")
+    rows = [{"P_in_W": power, **_point_fields(wp, mp),
+             "on_up_sweep": wp is up, "on_down_sweep": wp is down}
+            for power, pts, up, down in zip(trace.powers, trace.points,
+                                            trace.up, trace.down)
+            for wp in pts]
     meta = {
         "switch_up_W": "NaN" if trace.switch_up is None else repr(trace.switch_up),
         "switch_down_W": "NaN" if trace.switch_down is None else repr(trace.switch_down),
@@ -432,7 +381,7 @@ def _default_power_grid(mp: ModelParams, omega_L: float, fallback: float,
 
 
 def figure_command(fig_id: str, physical: PhysicalParams, out_dir,
-                   grid: int | None = None, threads: int = 1,
+                   grid: int | None = None,
                    validity_threshold: float = quantum.VALIDITY_THRESHOLD,
                    version: str = "0", timestamp: str | None = None) -> list[Path]:
     """Emit the CSV data behind one figure panel; returns written paths.
@@ -469,7 +418,7 @@ def figure_command(fig_id: str, physical: PhysicalParams, out_dir,
             branch="all",
             validity_threshold=validity_threshold,
         )
-        result = sweep(spec, threads=threads)
+        result = sweep(spec)
         return [emit(result, f"{fig_id}.csv")]
 
     if fig_id == "fig4":
@@ -482,7 +431,7 @@ def figure_command(fig_id: str, physical: PhysicalParams, out_dir,
             branch="both",
             validity_threshold=validity_threshold,
         )
-        return [emit(sweep(spec, threads=threads), "fig4.csv")]
+        return [emit(sweep(spec), "fig4.csv")]
 
     if fig_id in ("fig5a", "fig5b"):
         n = grid or 201
@@ -497,7 +446,7 @@ def figure_command(fig_id: str, physical: PhysicalParams, out_dir,
             branch="lower",
             validity_threshold=validity_threshold,
         )
-        return [emit(sweep(spec, threads=threads), f"{fig_id}.csv")]
+        return [emit(sweep(spec), f"{fig_id}.csv")]
 
     # fig6
     n = grid or 400
@@ -510,4 +459,4 @@ def figure_command(fig_id: str, physical: PhysicalParams, out_dir,
         branch="both",
         validity_threshold=validity_threshold,
     )
-    return [emit(sweep(spec, threads=threads), "fig6.csv")]
+    return [emit(sweep(spec), "fig6.csv")]

@@ -168,19 +168,6 @@ def normalize(mp: ModelParams) -> ModelParams:
     )
 
 
-def denormalize(mp: ModelParams, omega_m: float) -> ModelParams:
-    """Undo normalize(): scale every rate back by the given omega_m."""
-    return ModelParams(
-        kappa=mp.kappa * omega_m,
-        G0=mp.G0 * omega_m,
-        E=mp.E * omega_m,
-        delta0=mp.delta0 * omega_m,
-        omega_m=mp.omega_m * omega_m,
-        gamma_m=mp.gamma_m * omega_m,
-        nbar=mp.nbar,
-    )
-
-
 def default_params() -> PhysicalParams:
     """Reference parameter set of the bundled config.
 

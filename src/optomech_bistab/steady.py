@@ -22,7 +22,7 @@ from scipy.constants import hbar as _HBAR
 
 from . import dynamics
 from .errors import ValidationError
-from .params import ModelParams
+from .params import ModelParams, drive_amplitude
 
 # relative discriminant threshold below which a cubic counts as degenerate
 _DEGENERATE_RTOL = 1e-12
@@ -67,31 +67,6 @@ def bistability_parameter(delta: float, G: float, kappa: float,
     return 1.0 - G * G * delta / (omega_m * (kappa * kappa + delta * delta))
 
 
-def _cubic_discriminant(c3: float, c2: float, c1: float, c0: float) -> tuple[float, float]:
-    """Discriminant of the depressed form and its magnitude scale.
-
-    For the monic depressed cubic t^3 + p*t + q the discriminant is
-    -4p^3 - 27q^2: positive for three distinct real roots, negative for
-    one. Returned alongside max(|4p^3|, |27q^2|) for a relative test.
-    """
-    b = c2 / c3
-    c = c1 / c3
-    d = c0 / c3
-    p = c - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-    disc = -4.0 * p ** 3 - 27.0 * q * q
-    scale = max(abs(4.0 * p ** 3), 27.0 * q * q, 1e-300)
-    return disc, scale
-
-
-def cubic_root_count(c3: float, c2: float, c1: float, c0: float) -> int:
-    """Number of distinct real roots: 3, 1, or 2 for a (near-)double root."""
-    disc, scale = _cubic_discriminant(c3, c2, c1, c0)
-    if abs(disc) <= _DEGENERATE_RTOL * scale:
-        return 2
-    return 3 if disc > 0 else 1
-
-
 def real_cubic_roots(c3: float, c2: float, c1: float, c0: float,
                      polish: bool = True) -> tuple[list[float], bool]:
     """All real roots of c3*x^3 + c2*x^2 + c1*x + c0, ascending.
@@ -108,7 +83,10 @@ def real_cubic_roots(c3: float, c2: float, c1: float, c0: float,
     shift = b / 3.0
     p = c - b * b / 3.0
     q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
-    disc, scale = _cubic_discriminant(c3, c2, c1, c0)
+    # discriminant of t^3 + p*t + q: positive for three distinct real
+    # roots, negative for one; compared relative to its largest term
+    disc = -4.0 * p ** 3 - 27.0 * q * q
+    scale = max(abs(4.0 * p ** 3), 27.0 * q * q, 1e-300)
     degenerate = abs(disc) <= _DEGENERATE_RTOL * scale
 
     if degenerate:
@@ -199,16 +177,7 @@ def steady_states(mp: ModelParams) -> list[WorkingPoint]:
         raise ValidationError("E: drive amplitude must be non-negative")
     if mp.E == 0.0 or mp.G0 == 0.0:
         # undriven or decoupled: q = 0 is the only root
-        alpha = mp.E / complex(mp.kappa, mp.delta0)
-        photons = abs(alpha) ** 2
-        G = math.sqrt(2.0) * mp.G0 * abs(alpha)
-        A = dynamics.drift_from_rates(mp.delta0, G, mp.kappa, mp.omega_m,
-                                      mp.gamma_m)
-        return [WorkingPoint(
-            q_s=0.0, p_s=0.0, alpha_s=alpha, photons=photons, delta=mp.delta0,
-            G=G, eta=bistability_parameter(mp.delta0, G, mp.kappa, mp.omega_m),
-            branch=BRANCH_LOWER, stable=dynamics.is_stable_spectral(A),
-        )]
+        return [_point_from_q(mp, 0.0, BRANCH_LOWER)]
 
     roots, degenerate = real_cubic_roots(*_cubic_coeffs(mp))
     if degenerate:
@@ -267,22 +236,30 @@ def working_point_from_eta(mp: ModelParams, eta: float,
     return working_point_from_coupling(mp, G, delta)
 
 
-def _root_count_at_power(mp: ModelParams, omega_L: float, power: float) -> int:
-    E = math.sqrt(2.0 * power * mp.kappa / (_HBAR * omega_L))
-    return cubic_root_count(*_cubic_coeffs(replace(mp, E=E)))
+def bistable_window_estimate(mp: ModelParams,
+                             omega_L: float) -> tuple[float, float] | None:
+    """(switch-down, switch-up) powers from the turning points of the
+    steady-state cubic; None when the response is single-valued.
 
+    Exact closed form: the turning points q_lo/q_hi are where the drive
+    E^2(q) is stationary, mapped back to power through
+    E = sqrt(2*P*kappa/(hbar*omega_L)). ``hysteresis`` reports these as
+    its switch powers and the figure commands centre their default grids
+    on them.
+    """
+    disc = mp.delta0 ** 2 - 3.0 * mp.kappa ** 2
+    if disc <= 0 or mp.G0 <= 0 or mp.delta0 <= 0:
+        return None
 
-def _bisect_transition(mp: ModelParams, omega_L: float, p_lo: float,
-                       p_hi: float, rtol: float = 1e-6) -> float:
-    """Power where the root count changes between p_lo and p_hi."""
-    lo_count = _root_count_at_power(mp, omega_L, p_lo)
-    while p_hi - p_lo > rtol * p_hi:
-        mid = 0.5 * (p_lo + p_hi)
-        if _root_count_at_power(mp, omega_L, mid) == lo_count:
-            p_lo = mid
-        else:
-            p_hi = mid
-    return 0.5 * (p_lo + p_hi)
+    def power_at(q):
+        delta = mp.delta0 - mp.G0 * q
+        e2 = mp.omega_m * q * (mp.kappa ** 2 + delta ** 2) / mp.G0
+        return _HBAR * omega_L * e2 / (2.0 * mp.kappa)
+
+    root = math.sqrt(disc)
+    q_lo = (2.0 * mp.delta0 - root) / (3.0 * mp.G0)  # local max of the cubic
+    q_hi = (2.0 * mp.delta0 + root) / (3.0 * mp.G0)  # local min
+    return power_at(q_hi), power_at(q_lo)
 
 
 def hysteresis(mp: ModelParams, powers, omega_L: float) -> HysteresisTrace:
@@ -291,8 +268,9 @@ def hysteresis(mp: ModelParams, powers, omega_L: float) -> HysteresisTrace:
     ``mp`` must be in absolute units (rad/s) so that the power-to-drive
     conversion E = sqrt(2*P*kappa/(hbar*omega_L)) is meaningful. The
     up-sweep follows the lower branch until it ceases to exist, then jumps
-    to the upper branch; the down-sweep is the mirror image. Turning-point
-    powers are located by bisection on the root count to 1e-6 relative.
+    to the upper branch; the down-sweep is the mirror image. Where the
+    root count changes between grid points, the switch power is the exact
+    turning-point power of ``bistable_window_estimate``.
     """
     powers = [float(p) for p in powers]
     if not powers:
@@ -303,25 +281,20 @@ def hysteresis(mp: ModelParams, powers, omega_L: float) -> HysteresisTrace:
         raise ValidationError("powers: grid must be strictly increasing")
 
     per_power = []
-    counts = []
     for p in powers:
-        E = math.sqrt(2.0 * p * mp.kappa / (_HBAR * omega_L))
-        pts = steady_states(replace(mp, E=E))
-        per_power.append(tuple(pts))
-        counts.append(len(pts))
+        E = drive_amplitude(p, mp.kappa, omega_L)
+        per_power.append(tuple(steady_states(replace(mp, E=E))))
+    counts = [len(pts) for pts in per_power]
 
     # transitions of the root count along the grid -> switch powers
+    p_down, p_up = bistable_window_estimate(mp, omega_L) or (None, None)
     switch_up = None    # 3 -> 1 going up: lower branch ends
     switch_down = None  # 1 -> 3 going up: upper branch begins
-    for i in range(len(powers) - 1):
-        a, b = counts[i], counts[i + 1]
-        if a == b:
-            continue
-        p_star = _bisect_transition(mp, omega_L, powers[i], powers[i + 1])
+    for a, b in zip(counts, counts[1:]):
         if a < 3 <= b:
-            switch_down = p_star
+            switch_down = p_down
         elif a >= 3 > b:
-            switch_up = p_star
+            switch_up = p_up
 
     # adiabatic following: the up-sweep rides the smallest root until it
     # ceases to exist (the remaining single root IS the post-jump state),

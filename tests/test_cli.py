@@ -105,19 +105,6 @@ def test_malformed_config(tmp_path, capsys):
     assert code == 2
 
 
-def test_threads_flag_matches_serial(tmp_path, config_file):
-    out1 = tmp_path / "serial"
-    out2 = tmp_path / "parallel"
-    for out, threads in ((out1, "1"), (out2, "3")):
-        code = main(["figure", "fig3a", "--config", str(config_file),
-                     "--out", str(out), "--grid", "6",
-                     "--threads", threads])
-        assert code == 0
-    body1 = (out1 / "fig3a.csv").read_text().splitlines()[1:]
-    body2 = (out2 / "fig3a.csv").read_text().splitlines()[1:]
-    assert body1 == body2
-
-
 def test_numerical_failure_exit_code(monkeypatch, capsys):
     from optomech_bistab import cli
     from optomech_bistab.errors import UnstableSystemError

@@ -9,11 +9,9 @@ from optomech_bistab.dynamics import (
     diffusion_matrix,
     drift_from_rates,
     drift_matrix,
-    effective_frequency,
     integrate_lyapunov,
     is_stable_rh,
     is_stable_spectral,
-    matrix_csv_row,
     solve_lyapunov,
     split_blocks,
     symplectic_eigenvalues,
@@ -25,7 +23,6 @@ from optomech_bistab.errors import (
     UnstableSystemError,
 )
 from optomech_bistab.params import ModelParams
-from optomech_bistab.steady import bistability_parameter
 
 
 def _model(kappa=1.4, delta0=1.0, gamma=1e-5, nbar=0.0, g0=1e-5):
@@ -130,16 +127,6 @@ def test_rh_agrees_with_spectrum(rng):
         rh = is_stable_rh(delta, g, kappa, 1.0)
         A = drift_from_rates(delta, g, kappa, 1.0, gamma)
         assert rh == is_stable_spectral(A)
-
-
-def test_effective_frequency_identity():
-    for delta, g, kappa in [(1.0, 0.5, 1.4), (0.3, 1.1, 0.7), (2.5, 0.0, 0.2)]:
-        eta = bistability_parameter(delta, g, kappa, 1.0)
-        assert effective_frequency(delta, g, kappa, 1.0) == 1.0 * eta
-    assert effective_frequency(1.0, 0.0, 1.4, 1.0) == 1.0
-    boundary_g = math.sqrt((1.4 ** 2 + 1.0))
-    assert effective_frequency(1.0, boundary_g, 1.4, 1.0) \
-        == pytest.approx(0.0, abs=1e-14)
 
 
 # --- Lyapunov solver ----------------------------------------------------------
@@ -259,10 +246,3 @@ def test_split_blocks_layout():
 
 def test_symplectic_eigenvalues_vacuum():
     assert np.allclose(symplectic_eigenvalues(0.5 * np.eye(4)), [0.5, 0.5])
-
-
-def test_matrix_csv_row_roundtrip():
-    V = np.arange(16, dtype=float).reshape(4, 4)
-    row = matrix_csv_row(V)
-    assert len(row.split(",")) == 16
-    assert np.allclose(np.fromstring(row, sep=","), V.reshape(-1))

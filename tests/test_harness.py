@@ -139,15 +139,6 @@ def test_row_order_axis2_major():
                      (1.6, 0.2), (1.6, 0.4), (1.6, 0.6)]
 
 
-def test_sweep_threads_deterministic():
-    spec = SweepSpec(base=_model(),
-                     axis1=AxisSpec("eta", tuple(np.linspace(0.05, 0.9, 12))),
-                     axis2=AxisSpec("effective_detuning", (0.5, 1.0, 2.0)))
-    serial = sweep(spec, threads=1)
-    parallel = sweep(spec, threads=4)
-    assert serial.rows == parallel.rows
-
-
 def test_csv_bodies_identical_excluding_timestamp(tmp_path):
     spec = SweepSpec(base=_model(),
                      axis1=AxisSpec("eta", (0.1, 0.5, 0.9)),

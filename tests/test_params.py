@@ -12,7 +12,6 @@ from optomech_bistab.params import (
     CYCLIC,
     ModelParams,
     default_params,
-    denormalize,
     derive_model,
     load_config,
     normalize,
@@ -82,18 +81,6 @@ def test_normalized_kappa_is_ratio():
                      omega_m=TWO_PI * 1e7, gamma_m=1e2, nbar=10.0)
     assert normalize(mp).kappa == 1.0
     assert normalize(mp).omega_m == 1.0
-
-
-@given(omega_m=st.floats(1e3, 1e12), kappa=st.floats(1e-3, 1e10),
-       gamma=st.floats(1e-8, 1e6), drive=st.floats(0.0, 1e15))
-@settings(max_examples=50, deadline=None)
-def test_normalize_round_trip(omega_m, kappa, gamma, drive):
-    mp = ModelParams(kappa=kappa, G0=1.3e3, E=drive, delta0=2.2 * omega_m,
-                     omega_m=omega_m, gamma_m=gamma, nbar=5.0)
-    back = denormalize(normalize(mp), omega_m)
-    for name in ("kappa", "G0", "E", "delta0", "omega_m", "gamma_m", "nbar"):
-        a, b = getattr(mp, name), getattr(back, name)
-        assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_normalize_preserves_rate_ratios(reference_model):

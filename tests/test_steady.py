@@ -12,7 +12,7 @@ from optomech_bistab.errors import ValidationError
 from optomech_bistab.params import ModelParams, derive_model, laser_frequency
 from optomech_bistab.steady import (
     bistability_parameter,
-    cubic_root_count,
+    bistable_window_estimate,
     hysteresis,
     real_cubic_roots,
     steady_states,
@@ -127,9 +127,11 @@ def test_eta_sign_matches_routh_hurwitz(default_physical, rng):
 def test_cubic_roots_match_numpy(b, c, d):
     from hypothesis import assume
 
-    from optomech_bistab.steady import _cubic_discriminant
-
-    disc, scale = _cubic_discriminant(1.0, b, c, d)
+    # discriminant of the depressed form t^3 + p*t + q
+    p = c - b * b / 3.0
+    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+    disc = -4.0 * p ** 3 - 27.0 * q * q
+    scale = max(abs(4.0 * p ** 3), 27.0 * q * q, 1e-300)
     assume(abs(disc) > 1e-8 * scale)  # root separation is unambiguous
     roots, degenerate = real_cubic_roots(1.0, b, c, d)
     assert not degenerate
@@ -153,7 +155,6 @@ def test_cubic_double_root():
     roots, degenerate = real_cubic_roots(1.0, 0.0, -3.0, 2.0)
     assert degenerate
     assert roots == pytest.approx([-2.0, 1.0], abs=1e-9)
-    assert cubic_root_count(1.0, 0.0, -3.0, 2.0) == 2
 
 
 # --- bistability parameter --------------------------------------------------
@@ -186,7 +187,7 @@ def test_synthetic_working_points():
 
 def window_estimate(mp, omega_L):
     """Turning-point powers from a dense scan of the cubic level curve
-    (independent of the bisection path under test)."""
+    (independent of the closed form under test)."""
     disc = mp.delta0 ** 2 - 3.0 * mp.kappa ** 2
     assert disc > 0
     q_hi = (2.0 * mp.delta0 + math.sqrt(disc)) / (3.0 * mp.G0)
@@ -223,6 +224,27 @@ def test_hysteresis_window(default_model, default_physical):
     for power, up, down in zip(trace.powers, trace.up, trace.down):
         inside = trace.switch_down < power < trace.switch_up
         assert (up is not down) == inside
+
+    # a grid that steps over the window sees no change of the root count,
+    # so no switch is reported
+    straddle = hysteresis(default_model, [0.9 * p_down_ref, 1.1 * p_up_ref],
+                          omega_L)
+    assert [len(pts) for pts in straddle.points] == [1, 1]
+    assert straddle.switch_down is None and straddle.switch_up is None
+
+
+@pytest.mark.parametrize("kappa_over_wm", [None, 1.2])
+def test_hysteresis_switches_are_turning_points(default_model,
+                                                default_physical,
+                                                kappa_over_wm):
+    mp = default_model
+    if kappa_over_wm is not None:
+        mp = replace(mp, kappa=kappa_over_wm * mp.omega_m)
+    omega_L = laser_frequency(default_physical.wavelength)
+    p_down, p_up = bistable_window_estimate(mp, omega_L)
+    trace = hysteresis(mp, np.linspace(0.5 * p_down, 1.2 * p_up, 120), omega_L)
+    assert trace.switch_down == p_down
+    assert trace.switch_up == p_up
 
 
 def test_hysteresis_grid_starting_inside_window(default_model,
