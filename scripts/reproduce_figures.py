@@ -5,17 +5,20 @@ Usage:
     python scripts/reproduce_figures.py [--out DIR] [--config PATH] [--grid N]
 
 With no arguments this runs the bundled default parameter set at the
-default grid resolutions: about 22 s of CPU on a 2-CPU Intel Xeon VM with
-Python 3.11, most of it in fig5a/fig5b. Pass --grid 41 or so for a quick
+default grid resolutions: about 11 s of CPU on a 2-CPU Intel Xeon VM with
+Python 3.11, most of it in fig5a. Panels that share a sweep
+(``SAME_SWEEP_AS``: fig3b with fig3a, fig5b with fig5a) run it once; the
+second file is a copy of the first. Pass --grid 41 or so for a quick
 smoke run.
 """
 
 import argparse
+import shutil
 import time
 from pathlib import Path
 
 from optomech_bistab import __version__, figure_command, load_config
-from optomech_bistab.harness import FIGURE_IDS
+from optomech_bistab.harness import FIGURE_IDS, SAME_SWEEP_AS
 from optomech_bistab.params import default_params
 
 
@@ -29,10 +32,17 @@ def main() -> int:
 
     physical = load_config(args.config) if args.config else default_params()
     targets = args.only or FIGURE_IDS
+    written = {}  # sweep -> CSV of the first panel that ran it
     for fig_id in targets:
         start = time.time()
-        paths = figure_command(fig_id, physical, args.out, grid=args.grid,
-                               version=__version__)
+        sweep_id = SAME_SWEEP_AS.get(fig_id, fig_id)
+        if sweep_id in written:
+            paths = [shutil.copyfile(written[sweep_id],
+                                     args.out / f"{fig_id}.csv")]
+        else:
+            paths = figure_command(fig_id, physical, args.out, grid=args.grid,
+                                   version=__version__)
+            written[sweep_id] = paths[0]
         names = ", ".join(p.name for p in paths)
         print(f"{fig_id}: {names} ({time.time() - start:.1f} s)")
     return 0

@@ -43,38 +43,31 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
                         help="linearization validity bound on n_o/|alpha_s|^2")
 
 
-def _parse_axis(text: str) -> harness.AxisSpec:
+def _parse_axis(text: str, n_default: int,
+                omega_m: float) -> harness.AxisSpec:
     """Parse NAME=LO:HI[:N] into an axis; NAME=VALUE gives a single point.
 
-    Detunings and the coupling are given in units of omega_m and scaled
-    later; power in W, temperature in K, eta dimensionless.
+    LO:HI without N takes ``n_default`` points. Detunings and the coupling
+    are given in units of omega_m and scaled here; power in W,
+    temperature in K, eta dimensionless.
     """
     if "=" not in text:
         raise ValidationError(f"axis: expected NAME=LO:HI[:N], got {text!r}")
     name, _, grid = text.partition("=")
     name = name.strip()
     parts = grid.split(":")
-    try:
-        if len(parts) == 1:
-            return harness.AxisSpec(name, (float(parts[0]),))
-        lo, hi = float(parts[0]), float(parts[1])
-        n = int(parts[2]) if len(parts) > 2 else 0
-    except ValueError as exc:
-        raise ValidationError(f"axis {name}: bad grid {grid!r}") from exc
     if len(parts) > 3:
         raise ValidationError(f"axis {name}: bad grid {grid!r}")
-    return harness.AxisSpec(name, (lo, hi) if n == 0 else
-                            harness.linear_grid(lo, hi, n))
-
-
-def _scale_axis(axis: harness.AxisSpec, n_default: int,
-                omega_m: float) -> harness.AxisSpec:
-    values = axis.values
-    if len(values) == 2 and n_default > 2:
-        values = harness.linear_grid(values[0], values[1], n_default)
-    if axis.name in ("bare_detuning", "effective_detuning", "coupling"):
+    try:
+        bounds = [float(x) for x in parts[:2]]
+        n = int(parts[2]) if len(parts) > 2 else n_default
+    except ValueError as exc:
+        raise ValidationError(f"axis {name}: bad grid {grid!r}") from exc
+    values = tuple(bounds) if len(bounds) == 1 else \
+        harness.linear_grid(*bounds, n)
+    if name in harness.RATE_AXES:
         values = tuple(v * omega_m for v in values)
-    return harness.AxisSpec(axis.name, values)
+    return harness.AxisSpec(name, values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,11 +127,11 @@ def _cmd_steady(args) -> int:
 def _cmd_sweep(args) -> int:
     physical = _load_physical(args)
     mp = derive_model(physical)
-    n_default = args.grid or 101
-    axis1 = _scale_axis(_parse_axis(args.axis1), n_default, mp.omega_m)
+    n_default = args.grid if args.grid is not None else 101
+    axis1 = _parse_axis(args.axis1, n_default, mp.omega_m)
     axis2 = None
     if args.axis2 is not None:
-        axis2 = _scale_axis(_parse_axis(args.axis2), n_default, mp.omega_m)
+        axis2 = _parse_axis(args.axis2, n_default, mp.omega_m)
     spec = harness.SweepSpec(
         base=mp, physical=physical, axis1=axis1, axis2=axis2,
         branch=args.branch, validity_threshold=args.validity_threshold)

@@ -50,13 +50,19 @@ for _i, _j in _PACK_IDX:
 
 def drift_from_rates(delta: float, G: float, kappa: float,
                      omega_m: float, gamma_m: float) -> np.ndarray:
-    """Drift matrix from the scalar rates (effective detuning, coupling)."""
-    return np.array([
-        [0.0, omega_m, 0.0, 0.0],
-        [-omega_m, -gamma_m, G, 0.0],
-        [0.0, 0.0, -kappa, delta],
-        [G, 0.0, -delta, -kappa],
+    """Drift matrix from the rates (effective detuning, coupling).
+
+    Scalar rates give one 4x4 matrix; rates given as equal-length 1-D
+    arrays give the stack (N, 4, 4).
+    """
+    zero = 0.0 * abs(kappa)  # a scalar or array of +0.0 like the rates
+    A = np.array([
+        [zero, omega_m, zero, zero],
+        [-omega_m, -gamma_m, G, zero],
+        [zero, zero, -kappa, delta],
+        [G, zero, -delta, -kappa],
     ])
+    return A if A.ndim == 2 else A.transpose(2, 0, 1)
 
 
 def drift_matrix(wp: "WorkingPoint", mp: "ModelParams") -> np.ndarray:
@@ -81,9 +87,13 @@ def is_stable_rh(delta: float, G: float, kappa: float, omega_m: float) -> bool:
     return omega_m * (kappa * kappa + delta * delta) - G * G * delta > 0.0
 
 
-def is_stable_spectral(A: np.ndarray) -> bool:
-    """True iff every eigenvalue of A has strictly negative real part."""
-    return bool(np.linalg.eigvals(A).real.max() < 0.0)
+def is_stable_spectral(A: np.ndarray) -> bool | list[bool]:
+    """True iff every eigenvalue of A has strictly negative real part.
+
+    A stack (N, 4, 4) gives the list of N verdicts from one eigenvalue
+    call; each equals the verdict on that matrix alone.
+    """
+    return (np.linalg.eigvals(A).real.max(axis=-1) < 0.0).tolist()
 
 
 def decay_rate(A: np.ndarray) -> float:

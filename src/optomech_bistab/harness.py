@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import dynamics, quantum, steady
 from .errors import IllConditionedError, ValidationError
 from .params import (
@@ -34,6 +36,10 @@ from .steady import bistable_window_estimate
 EXPERIMENTAL_AXES = ("power", "bare_detuning", "temperature")
 THEORETICAL_AXES = ("effective_detuning", "eta", "coupling")
 AXIS_NAMES = EXPERIMENTAL_AXES + THEORETICAL_AXES
+
+# axes holding angular rates: rad/s in an AxisSpec, omega_m on the command
+# line, in CSV columns and in validation messages
+RATE_AXES = ("bare_detuning", "effective_detuning", "coupling")
 
 BRANCH_CHOICES = ("lower", "upper", "both", "all")
 
@@ -70,6 +76,9 @@ _COVARIANCE_COLUMNS = ("n_m", "n_o", "Sigma", "detV", "E_N", "validity_ratio",
                        "validity_ok")
 
 FIGURE_IDS = ("fig2", "fig3a", "fig3b", "fig4", "fig5a", "fig5b", "fig6")
+
+# panel -> the panel that runs the identical sweep (byte-identical CSV body)
+SAME_SWEEP_AS = {"fig3b": "fig3a", "fig5b": "fig5a"}
 
 STATUS_OK = "ok"
 STATUS_UNSTABLE = "unstable"
@@ -119,7 +128,7 @@ _AXIS_RANGE = {
 }
 
 
-def _check_axis(axis: AxisSpec) -> None:
+def _check_axis(axis: AxisSpec, omega_m: float) -> None:
     if axis.name not in AXIS_NAMES:
         raise ValidationError(
             f"axis: unknown name {axis.name!r}, expected one of {AXIS_NAMES}")
@@ -134,20 +143,20 @@ def _check_axis(axis: AxisSpec) -> None:
                 f"axis {axis.name}: grid must be strictly monotone")
     lo, lo_incl, hi = _AXIS_RANGE.get(axis.name, (None, True, None))
     for v in axis.values:
-        if lo is not None and (v < lo or (not lo_incl and v == lo)):
+        if (lo is not None and (v < lo or (not lo_incl and v == lo))) or \
+                (hi is not None and v > hi):
+            shown = f"{v / omega_m!r} omega_m" if axis.name in RATE_AXES \
+                else f"{v}"
             raise ValidationError(
-                f"axis {axis.name}: value {v} out of range")
-        if hi is not None and v > hi:
-            raise ValidationError(
-                f"axis {axis.name}: value {v} out of range")
+                f"axis {axis.name}: value {shown} out of range")
 
 
 def validate_spec(spec: SweepSpec) -> None:
     """Reject malformed sweep requests before any computation."""
-    _check_axis(spec.axis1)
+    _check_axis(spec.axis1, spec.base.omega_m)
     axes = [spec.axis1.name]
     if spec.axis2 is not None:
-        _check_axis(spec.axis2)
+        _check_axis(spec.axis2, spec.base.omega_m)
         if spec.axis2.name == spec.axis1.name:
             raise ValidationError("axes: axis names must be distinct")
         axes.append(spec.axis2.name)
@@ -235,33 +244,15 @@ def _select_branch(points: list[steady.WorkingPoint],
     return [points[0], points[-1]]
 
 
-def _cell_rows(spec: SweepSpec, values: dict[str, float]) -> list[dict]:
+def _cell_rows(spec: SweepSpec, values: dict[str, float], mp: ModelParams,
+               selected: list[steady.WorkingPoint]) -> list[dict]:
     axis_cols = {}
     for name, value in values.items():
         col = _AXIS_COLUMN[name]
-        if name in ("bare_detuning", "effective_detuning", "coupling"):
+        if name in RATE_AXES:
             axis_cols[col] = value / spec.base.omega_m
         else:
             axis_cols[col] = value
-
-    if any(name in THEORETICAL_AXES for name in values):
-        mp = spec.base
-        delta = values.get("effective_detuning", mp.delta0)
-        if "eta" in values:
-            wp = steady.working_point_from_eta(mp, values["eta"], delta)
-        else:
-            wp = steady.working_point_from_coupling(mp, values["coupling"], delta)
-        selected = [wp]
-    else:
-        p = spec.physical
-        if "power" in values:
-            p = with_power(p, values["power"])
-        if "bare_detuning" in values:
-            p = with_detuning(p, values["bare_detuning"])
-        if "temperature" in values:
-            p = with_temperature(p, values["temperature"])
-        mp = derive_model(p)
-        selected = _select_branch(steady.steady_states(mp), spec.branch)
 
     rows = []
     for wp in selected:
@@ -272,6 +263,43 @@ def _cell_rows(spec: SweepSpec, values: dict[str, float]) -> list[dict]:
                    "status": f"{STATUS_ERROR}:{type(exc).__name__}"}
         rows.append({**axis_cols, **row})
     return rows
+
+
+def _synthetic_point(mp: ModelParams,
+                     values: dict[str, float]) -> steady.WorkingPoint:
+    delta = values.get("effective_detuning", mp.delta0)
+    if "eta" in values:
+        return steady.working_point_from_eta(mp, values["eta"], delta)
+    return steady.working_point_from_coupling(mp, values["coupling"], delta)
+
+
+def _cell_model(p: PhysicalParams, values: dict[str, float]) -> ModelParams:
+    if "power" in values:
+        p = with_power(p, values["power"])
+    if "bare_detuning" in values:
+        p = with_detuning(p, values["bare_detuning"])
+    if "temperature" in values:
+        p = with_temperature(p, values["temperature"])
+    return derive_model(p)
+
+
+def _cell_points(spec: SweepSpec, cells: list[dict[str, float]]
+                 ) -> list[tuple[ModelParams, list[steady.WorkingPoint]]]:
+    """Per cell, its model and the working points it emits rows for.
+
+    Theoretical axes prescribe one synthetic point per cell. Experimental
+    axes derive each cell's model, then solve every cell's steady states
+    in one ``steady_states_grid`` call.
+    """
+    if any(name in THEORETICAL_AXES for name in cells[0]):
+        return [(spec.base, [_synthetic_point(spec.base, values)])
+                for values in cells]
+    models = [_cell_model(spec.physical, values) for values in cells]
+    # one ModelParams whose fields are arrays over the cells
+    stacked = ModelParams(*(np.array(column) for column in
+                            zip(*(vars(mp).values() for mp in models))))
+    return [(mp, _select_branch(points, spec.branch))
+            for mp, points in zip(models, steady.steady_states_grid(stacked))]
 
 
 def sweep_columns(spec: SweepSpec) -> tuple[str, ...]:
@@ -291,15 +319,19 @@ def sweep(spec: SweepSpec) -> SweepResult:
     validate_spec(spec)
     axis2_values = spec.axis2.values if spec.axis2 is not None else (None,)
 
-    columns = sweep_columns(spec)
-    rows = []
+    cells = []
     for v2 in axis2_values:
         for v1 in spec.axis1.values:
             values = {spec.axis1.name: v1}
             if spec.axis2 is not None:
                 values[spec.axis2.name] = v2
-            for raw in _cell_rows(spec, values):
-                rows.append({col: raw.get(col) for col in columns})
+            cells.append(values)
+
+    columns = sweep_columns(spec)
+    rows = []
+    for values, (mp, selected) in zip(cells, _cell_points(spec, cells)):
+        for raw in _cell_rows(spec, values, mp, selected):
+            rows.append({col: raw.get(col) for col in columns})
 
     meta = {
         "axis1": f"{spec.axis1.name}[{len(spec.axis1.values)}]",
@@ -398,18 +430,19 @@ def figure_command(fig_id: str, physical: PhysicalParams, out_dir,
     out_dir = Path(out_dir)
     mp = derive_model(physical)
     omega_L = laser_frequency(physical.wavelength)
+    sweep_id = SAME_SWEEP_AS.get(fig_id, fig_id)
+    n = grid if grid is not None else \
+        {"fig3a": 101, "fig5a": 201}.get(sweep_id, 400)
 
     def emit(result: SweepResult, name: str) -> Path:
         return write_csv(result, out_dir / name, version, timestamp)
 
     if fig_id == "fig2":
-        n = grid or 400
         powers = _default_power_grid(mp, omega_L, physical.power, n)
         trace = steady.hysteresis(mp, powers, omega_L)
         return [emit(_hysteresis_rows(trace, mp), "fig2.csv")]
 
-    if fig_id in ("fig3a", "fig3b"):
-        n = grid or 101
+    if sweep_id == "fig3a":
         spec = SweepSpec(
             base=mp,
             axis1=AxisSpec("eta", linear_grid(1e-3, 1.0, n)),
@@ -422,7 +455,6 @@ def figure_command(fig_id: str, physical: PhysicalParams, out_dir,
         return [emit(result, f"{fig_id}.csv")]
 
     if fig_id == "fig4":
-        n = grid or 400
         spec = SweepSpec(
             base=mp,
             physical=physical,
@@ -433,23 +465,22 @@ def figure_command(fig_id: str, physical: PhysicalParams, out_dir,
         )
         return [emit(sweep(spec), "fig4.csv")]
 
-    if fig_id in ("fig5a", "fig5b"):
-        n = grid or 201
+    if sweep_id == "fig5a":
         window = bistable_window_estimate(mp, omega_L)
         p_hi = 1.5 * window[1] if window else 2.0 * physical.power
+        # built first: it rejects n < 1 before p_hi / n is taken
+        detunings = linear_grid(0.5 * mp.omega_m, 4.0 * mp.omega_m, n)
         spec = SweepSpec(
             base=mp,
             physical=physical,
             axis1=AxisSpec("power", linear_grid(p_hi / n, p_hi, n)),
-            axis2=AxisSpec("bare_detuning",
-                           linear_grid(0.5 * mp.omega_m, 4.0 * mp.omega_m, n)),
+            axis2=AxisSpec("bare_detuning", detunings),
             branch="lower",
             validity_threshold=validity_threshold,
         )
         return [emit(sweep(spec), f"{fig_id}.csv")]
 
     # fig6
-    n = grid or 400
     spec = SweepSpec(
         base=mp,
         physical=physical,

@@ -9,6 +9,14 @@ and upper stable branches; the middle one is dynamically unstable. Each
 root carries the effective detuning Delta = Delta_0 - G0*q, the enhanced
 coupling G = sqrt(2)*G0*|alpha_s| (fluctuation phase gauged so G is real)
 and the bistability parameter eta.
+
+The cubic is solved array-at-a-time: ``steady_states_grid`` takes model
+constants as broadcast numpy arrays (a power grid, an experimental sweep
+grid) and computes the closed-form roots, their Newton polish, the
+working-point quantities and one stacked spectral stability verdict for
+every grid point in one pass. ``steady_states`` and ``real_cubic_roots``
+are its one-model views, so each result is bit-identical whether a model
+is solved alone or as part of a grid.
 """
 
 from __future__ import annotations
@@ -67,103 +75,120 @@ def bistability_parameter(delta: float, G: float, kappa: float,
     return 1.0 - G * G * delta / (omega_m * (kappa * kappa + delta * delta))
 
 
-def real_cubic_roots(c3: float, c2: float, c1: float, c0: float,
-                     polish: bool = True) -> tuple[list[float], bool]:
+def real_cubic_roots(c3: float, c2: float, c1: float,
+                     c0: float) -> tuple[list[float], bool]:
     """All real roots of c3*x^3 + c2*x^2 + c1*x + c0, ascending.
 
     Closed-form (trigonometric / Cardano) solution of the depressed cubic,
     then up to 5 Newton polish iterations per root, each kept only while
     the residual improves. Returns (roots, degenerate) where degenerate
     marks a double/triple root within the discriminant tolerance; in that
-    case the repeated root appears once.
+    case the repeated root appears once. The one-cubic view of
+    ``_cubic_roots``.
     """
+    roots, count, degenerate = _cubic_roots(
+        *(np.array([c], dtype=float) for c in (c3, c2, c1, c0)))
+    return roots[0, :count[0]].tolist(), bool(degenerate[0])
+
+
+# Only + - * / sqrt abs run as numpy array operations, which round exactly
+# like their scalar counterparts. acos, cos and the powers go through
+# ``math`` and float ``**`` one element at a time: numpy's vectorised
+# versions of these may differ from libm in the last bit.
+
+def _pow3(x: np.ndarray) -> np.ndarray:
+    return np.array([v ** 3 for v in x.tolist()], dtype=float)
+
+
+def _cbrt(x: np.ndarray) -> np.ndarray:
+    return np.array([math.copysign(abs(v) ** (1.0 / 3.0), v)
+                     for v in x.tolist()], dtype=float)
+
+
+# rotations of the trigonometric solution, one per root
+_ROTATIONS = tuple(2.0 * math.pi * k / 3.0 for k in range(3))
+
+
+def _cubic_roots(c3: np.ndarray, c2: np.ndarray, c1: np.ndarray,
+                 c0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Real roots of N cubics given as equal-length coefficient arrays.
+
+    Returns (roots, count, degenerate): roots is (N, 3), each row
+    ascending in its first ``count`` entries and NaN after them.
+    """
+    n = len(c3)
     b = c2 / c3
     c = c1 / c3
     d = c0 / c3
     shift = b / 3.0
     p = c - b * b / 3.0
-    q = 2.0 * b ** 3 / 27.0 - b * c / 3.0 + d
+    p3 = _pow3(p)
+    q = 2.0 * _pow3(b) / 27.0 - b * c / 3.0 + d
     # discriminant of t^3 + p*t + q: positive for three distinct real
     # roots, negative for one; compared relative to its largest term
-    disc = -4.0 * p ** 3 - 27.0 * q * q
-    scale = max(abs(4.0 * p ** 3), 27.0 * q * q, 1e-300)
-    degenerate = abs(disc) <= _DEGENERATE_RTOL * scale
+    disc = -4.0 * p3 - 27.0 * q * q
+    scale = np.maximum(np.maximum(np.abs(4.0 * p3), 27.0 * q * q), 1e-300)
+    degenerate = np.abs(disc) <= _DEGENERATE_RTOL * scale
+    three = ~degenerate & (disc > 0.0)
+    one = ~degenerate & ~three
 
-    if degenerate:
-        if abs(p) ** 3 <= 1e-30 * max(1.0, q * q):
-            roots = [-shift]  # triple root
+    roots = np.full((n, 3), np.nan)
+    count = np.where(three, 3, 1)
+    # degenerate cubics are rare: solved one by one
+    for r in np.flatnonzero(degenerate).tolist():
+        pr, qr, sr = float(p[r]), float(q[r]), float(shift[r])
+        if abs(pr) ** 3 <= 1e-30 * max(1.0, qr * qr):
+            found = [-sr]  # triple root
         else:
             # f = f' = 0 gives the double root; the sum of roots is zero
-            t_double = -1.5 * q / p
-            t_simple = 3.0 * q / p
-            roots = sorted({t_double - shift, t_simple - shift})
-    elif disc > 0.0:
-        # three distinct real roots, trigonometric form (p < 0 here)
-        m = 2.0 * math.sqrt(-p / 3.0)
-        theta = math.acos(max(-1.0, min(1.0, 3.0 * q / (p * m)))) / 3.0
-        roots = sorted(m * math.cos(theta - 2.0 * math.pi * k / 3.0) - shift
-                       for k in range(3))
-    else:
-        # one real root; the Cardano radicand is strictly positive here
-        half_q = q / 2.0
-        rad = math.sqrt(max(half_q * half_q + (p / 3.0) ** 3, 0.0))
-        u = _cbrt(-half_q + rad)
-        v = _cbrt(-half_q - rad)
-        roots = [u + v - shift]
+            found = sorted({-1.5 * qr / pr - sr, 3.0 * qr / pr - sr})
+        roots[r, :len(found)] = found
+        count[r] = len(found)
 
-    if polish:
-        roots = [_polish_root(c3, c2, c1, c0, r) for r in roots]
-    return sorted(roots), degenerate
+    i = np.flatnonzero(three)
+    if i.size:
+        # trigonometric form (p < 0 here)
+        m = 2.0 * np.sqrt(-p[i] / 3.0)
+        thetas = [math.acos(max(-1.0, min(1.0, x))) / 3.0
+                  for x in (3.0 * q[i] / (p[i] * m)).tolist()]
+        cosines = [[math.cos(t - rot) for rot in _ROTATIONS] for t in thetas]
+        roots[i] = m[:, None] * np.array(cosines) - shift[i, None]
+
+    i = np.flatnonzero(one)
+    if i.size:
+        # Cardano; the radicand is strictly positive here
+        half_q = q[i] / 2.0
+        rad = np.sqrt(np.maximum(half_q * half_q + _pow3(p[i] / 3.0), 0.0))
+        roots[i, 0] = _cbrt(-half_q + rad) + _cbrt(-half_q - rad) - shift[i]
+
+    valid = np.arange(3) < count[:, None]
+    row = np.nonzero(valid)[0]
+    roots[valid] = _polish(c3[row], c2[row], c1[row], c0[row], roots[valid])
+    for r in np.flatnonzero(count > 1).tolist():
+        roots[r, :count[r]] = sorted(roots[r, :count[r]].tolist())
+    return roots, count, degenerate
 
 
-def _cbrt(x: float) -> float:
-    return math.copysign(abs(x) ** (1.0 / 3.0), x)
-
-
-def _polish_root(c3: float, c2: float, c1: float, c0: float, x: float) -> float:
+def _polish(c3, c2, c1, c0, x: np.ndarray) -> np.ndarray:
+    """Up to 5 Newton steps per root, each kept only while the residual
+    strictly improves; a root stops at its first rejected step."""
     def f(t):
         return ((c3 * t + c2) * t + c1) * t + c0
 
-    def fp(t):
-        return (3.0 * c3 * t + 2.0 * c2) * t + c1
-
-    best, best_res = x, abs(f(x))
-    for _ in range(5):
-        slope = fp(x)
-        if slope == 0.0:
-            break
-        x_new = x - f(x) / slope
-        res = abs(f(x_new))
-        if not math.isfinite(x_new) or res >= best_res:
-            break
-        best, best_res = x_new, res
-        x = x_new
-    return best
-
-
-def _point_from_q(mp: ModelParams, q: float, branch: str,
-                  degenerate: bool = False) -> WorkingPoint:
-    delta = mp.delta0 - mp.G0 * q
-    denom = mp.kappa * mp.kappa + delta * delta
-    alpha = mp.E / complex(mp.kappa, delta)
-    photons = mp.E * mp.E / denom
-    G = math.sqrt(2.0) * mp.G0 * math.sqrt(photons)
-    eta = bistability_parameter(delta, G, mp.kappa, mp.omega_m)
-    A = dynamics.drift_from_rates(delta, G, mp.kappa, mp.omega_m, mp.gamma_m)
-    return WorkingPoint(
-        q_s=q, p_s=0.0, alpha_s=alpha, photons=photons, delta=delta, G=G,
-        eta=eta, branch=branch, stable=dynamics.is_stable_spectral(A),
-        degenerate=degenerate,
-    )
-
-
-def _cubic_coeffs(mp: ModelParams) -> tuple[float, float, float, float]:
-    return (
-        mp.omega_m * mp.G0 * mp.G0,
-        -2.0 * mp.omega_m * mp.G0 * mp.delta0,
-        mp.omega_m * (mp.kappa * mp.kappa + mp.delta0 * mp.delta0),
-        -mp.G0 * mp.E * mp.E,
-    )
+    best_res = np.abs(f(x))
+    active = np.ones(x.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(5):
+            slope = (3.0 * c3 * x + 2.0 * c2) * x + c1
+            # a zero slope gives a non-finite step, rejected below
+            x_new = x - f(x) / slope
+            res = np.abs(f(x_new))
+            active &= np.isfinite(x_new) & ~(res >= best_res)
+            if not active.any():
+                break
+            x = np.where(active, x_new, x)
+            best_res = np.where(active, res, best_res)
+    return x
 
 
 def steady_states(mp: ModelParams) -> list[WorkingPoint]:
@@ -171,27 +196,76 @@ def steady_states(mp: ModelParams) -> list[WorkingPoint]:
 
     Three distinct roots are labelled lower/middle/upper; a single root is
     labelled lower. A double root at a turning point is reported with
-    degenerate=True rather than failing.
+    degenerate=True rather than failing. The one-model view of
+    ``steady_states_grid``.
     """
-    if mp.E < 0:
-        raise ValidationError("E: drive amplitude must be non-negative")
-    if mp.E == 0.0 or mp.G0 == 0.0:
-        # undriven or decoupled: q = 0 is the only root
-        return [_point_from_q(mp, 0.0, BRANCH_LOWER)]
+    return steady_states_grid(mp)[0]
 
-    roots, degenerate = real_cubic_roots(*_cubic_coeffs(mp))
-    if degenerate:
-        labels = [BRANCH_LOWER, BRANCH_UPPER][:len(roots)]
+
+# branch labels by root position, for three/one roots and for a double root
+_LABELS = (BRANCH_LOWER, BRANCH_MIDDLE, BRANCH_UPPER)
+_DEGENERATE_LABELS = (BRANCH_LOWER, BRANCH_UPPER)
+
+
+def steady_states_grid(mp: ModelParams) -> list[list[WorkingPoint]]:
+    """``steady_states`` of every model of a grid, solved in one pass.
+
+    Any field of ``mp`` may be a numpy array; the fields broadcast
+    together and each element of the flattened (C-order) broadcast shape
+    is one model. Per model the result equals ``steady_states`` of that
+    model field for field: cubic roots and Newton polish run elementwise
+    over the grid, and the spectral stability verdicts of all roots come
+    from one stacked eigenvalue call.
+    """
+    kappa, G0, E, delta0, omega_m, gamma_m = (
+        a.ravel().astype(float) for a in np.broadcast_arrays(
+            mp.kappa, mp.G0, mp.E, mp.delta0, mp.omega_m, mp.gamma_m))
+    if np.any(E < 0):
+        raise ValidationError("E: drive amplitude must be non-negative")
+
+    n = len(E)
+    roots = np.zeros((n, 3))
+    count = np.ones(n, dtype=int)
+    degenerate = np.zeros(n, dtype=bool)
+    # undriven or decoupled models keep q = 0, their only root
+    cubic = (E != 0.0) & (G0 != 0.0)
+    c3 = omega_m * G0 * G0
+    c2 = -2.0 * omega_m * G0 * delta0
+    c1 = omega_m * (kappa * kappa + delta0 * delta0)
+    c0 = -G0 * E * E
+    if cubic.any():
+        roots[cubic], count[cubic], degenerate[cubic] = _cubic_roots(
+            c3[cubic], c2[cubic], c1[cubic], c0[cubic])
+
+    double_idx = {}
+    for r in np.flatnonzero(degenerate).tolist():
         # the repeated root is the one at a turning point: f'(q) ~ 0 there
-        c3, c2, c1, _ = _cubic_coeffs(mp)
-        slopes = [abs((3 * c3 * q + 2 * c2) * q + c1) for q in roots]
-        double_idx = int(np.argmin(slopes)) if len(roots) > 1 else 0
-        return [_point_from_q(mp, q, lab, degenerate=(i == double_idx))
-                for i, (q, lab) in enumerate(zip(roots, labels))]
-    if len(roots) == 1:
-        return [_point_from_q(mp, roots[0], BRANCH_LOWER)]
-    labels = (BRANCH_LOWER, BRANCH_MIDDLE, BRANCH_UPPER)
-    return [_point_from_q(mp, q, lab) for q, lab in zip(roots, labels)]
+        q = roots[r, :count[r]]
+        double_idx[r] = int(np.argmin(
+            np.abs((3.0 * c3[r] * q + 2.0 * c2[r]) * q + c1[r])))
+
+    row, col = np.nonzero(np.arange(3) < count[:, None])
+    q = roots[row, col]
+    kappa, G0, E, delta0, omega_m, gamma_m = (
+        a[row] for a in (kappa, G0, E, delta0, omega_m, gamma_m))
+    delta = delta0 - G0 * q
+    photons = E * E / (kappa * kappa + delta * delta)
+    G = math.sqrt(2.0) * G0 * np.sqrt(photons)
+    eta = bistability_parameter(delta, G, kappa, omega_m)
+    stable = dynamics.is_stable_spectral(
+        dynamics.drift_from_rates(delta, G, kappa, omega_m, gamma_m))
+
+    points: list[list[WorkingPoint]] = [[] for _ in range(n)]
+    labels = [_DEGENERATE_LABELS if d else _LABELS for d in degenerate.tolist()]
+    for r, k, q_k, e, kap, d, ph, g, et, st in zip(
+            row.tolist(), col.tolist(), q.tolist(), E.tolist(),
+            kappa.tolist(), delta.tolist(), photons.tolist(), G.tolist(),
+            eta.tolist(), stable):
+        points[r].append(WorkingPoint(
+            q_s=q_k, p_s=0.0, alpha_s=e / complex(kap, d), photons=ph,
+            delta=d, G=g, eta=et, branch=labels[r][k], stable=st,
+            degenerate=double_idx.get(r) == k))
+    return points
 
 
 def working_point_from_coupling(mp: ModelParams, G: float,
@@ -268,9 +342,11 @@ def hysteresis(mp: ModelParams, powers, omega_L: float) -> HysteresisTrace:
     ``mp`` must be in absolute units (rad/s) so that the power-to-drive
     conversion E = sqrt(2*P*kappa/(hbar*omega_L)) is meaningful. The
     up-sweep follows the lower branch until it ceases to exist, then jumps
-    to the upper branch; the down-sweep is the mirror image. Where the
-    root count changes between grid points, the switch power is the exact
-    turning-point power of ``bistable_window_estimate``.
+    to the upper branch; the down-sweep is the mirror image. The steady
+    states of all powers come from one ``steady_states_grid`` call over
+    the drive amplitudes of the grid. Where the root count changes between
+    grid points, the switch power is the exact turning-point power of
+    ``bistable_window_estimate``.
     """
     powers = [float(p) for p in powers]
     if not powers:
@@ -280,10 +356,8 @@ def hysteresis(mp: ModelParams, powers, omega_L: float) -> HysteresisTrace:
     if any(b <= a for a, b in zip(powers, powers[1:])):
         raise ValidationError("powers: grid must be strictly increasing")
 
-    per_power = []
-    for p in powers:
-        E = drive_amplitude(p, mp.kappa, omega_L)
-        per_power.append(tuple(steady_states(replace(mp, E=E))))
+    E = np.array([drive_amplitude(p, mp.kappa, omega_L) for p in powers])
+    per_power = [tuple(pts) for pts in steady_states_grid(replace(mp, E=E))]
     counts = [len(pts) for pts in per_power]
 
     # transitions of the root count along the grid -> switch powers

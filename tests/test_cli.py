@@ -76,6 +76,29 @@ def test_sweep_rejects_bad_grid_syntax(tmp_path, config_file, capsys):
     assert code == 2
 
 
+def test_sweep_reports_rate_values_in_omega_m(tmp_path, config_file, capsys):
+    code = main(["sweep", "--config", str(config_file),
+                 "--out", str(tmp_path / "out"),
+                 "--axis1", "effective_detuning=-1:1:3",
+                 "--axis2", "eta=0.1:0.5:3"])
+    assert code == 2
+    assert "effective_detuning: value -1.0 omega_m out of range" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["figure", "fig2"],
+    ["figure", "fig5a"],
+    ["sweep", "--axis1", "power=0.01:0.02"],
+])
+def test_grid_zero_is_rejected(tmp_path, config_file, capsys, command):
+    code = main(command + ["--config", str(config_file),
+                           "--out", str(tmp_path / "out"), "--grid", "0"])
+    assert code == 2
+    assert "grid: need at least one point, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_figure_command_runs(tmp_path, config_file):
     code = main(["figure", "fig2", "--config", str(config_file),
                  "--out", str(tmp_path / "out"), "--grid", "40"])

@@ -3,19 +3,26 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.constants import hbar as HBAR
 
 from optomech_bistab import dynamics
 from optomech_bistab.errors import ValidationError
-from optomech_bistab.params import ModelParams, derive_model, laser_frequency
+from optomech_bistab.params import (
+    ModelParams,
+    default_params,
+    derive_model,
+    drive_amplitude,
+    laser_frequency,
+)
 from optomech_bistab.steady import (
     bistability_parameter,
     bistable_window_estimate,
     hysteresis,
     real_cubic_roots,
     steady_states,
+    steady_states_grid,
     working_point_from_coupling,
     working_point_from_eta,
 )
@@ -336,3 +343,107 @@ def test_degenerate_root_at_turning_point(default_model):
     assert any(wp.degenerate for wp in pts)
     degenerate = [wp for wp in pts if wp.degenerate]
     assert degenerate[0].q_s == pytest.approx(q_turn, rel=1e-6)
+
+
+# --- grid solve equals the one-model solve ------------------------------------
+
+def _turning_points(kappa, delta0, G0):
+    """Displacements of the cubic's turning points (empty if monotone)."""
+    disc = delta0 ** 2 - 3.0 * kappa ** 2
+    if disc <= 0 or delta0 <= 0 or G0 <= 0:
+        return []
+    root = math.sqrt(disc)
+    return [(2.0 * delta0 - root) / (3.0 * G0),
+            (2.0 * delta0 + root) / (3.0 * G0)]
+
+
+@st.composite
+def normalized_models(draw):
+    """omega_m = 1 models; the drive is set from a target root q so that
+    single-root, three-root, undriven, decoupled, red- and blue-detuned
+    models and exact turning-point drives all occur."""
+    kappa = draw(st.floats(0.05, 3.0))
+    delta0 = draw(st.floats(-3.0, 5.0))
+    G0 = draw(st.sampled_from([0.0, 1e-3, 0.5]) | st.floats(1e-4, 2.0))
+    gamma_m = draw(st.floats(0.0, 1e-2))
+    turning = _turning_points(kappa, delta0, G0)
+    if G0 == 0.0:
+        E = draw(st.floats(0.0, 5.0))
+    else:
+        if turning and draw(st.booleans()):
+            q = draw(st.sampled_from(turning))
+        else:
+            q = draw(st.floats(0.0, 1.0)) * 3.0 * max(delta0, kappa) / G0
+        delta = delta0 - G0 * q
+        E = math.sqrt(q * (kappa ** 2 + delta ** 2) / G0)
+    return ModelParams(kappa=kappa, G0=G0, E=E, delta0=delta0, omega_m=1.0,
+                       gamma_m=gamma_m, nbar=0.0)
+
+
+def _mixed_models():
+    base = ModelParams(kappa=0.4, G0=0.5, E=0.0, delta0=2.0, omega_m=1.0,
+                       gamma_m=1e-3, nbar=0.0)
+    q_lo, q_hi = _turning_points(base.kappa, base.delta0, base.G0)
+
+    def drive(q):
+        delta = base.delta0 - base.G0 * q
+        return math.sqrt(q * (base.kappa ** 2 + delta ** 2) / base.G0)
+
+    return [base,                                            # undriven
+            replace(base, G0=0.0, E=1.0),                    # decoupled
+            replace(base, E=drive(0.1 * q_lo)),              # one root
+            replace(base, E=drive(0.5 * (q_lo + q_hi))),     # three roots
+            replace(base, E=drive(q_lo)),                    # turning point
+            replace(base, delta0=-1.0, E=1.0),               # blue detuned
+            replace(base, delta0=0.0, E=1.0)]                # resonant
+
+
+@given(models=st.lists(normalized_models(), min_size=1, max_size=12))
+@example(models=_mixed_models())
+@settings(max_examples=100, deadline=None)
+def test_grid_solve_equals_one_model_solves(models):
+    fields = zip(*(vars(mp).values() for mp in models))
+    stacked = ModelParams(*(np.array(column) for column in fields))
+    grid = steady_states_grid(stacked)
+    assert len(grid) == len(models)
+    for points, mp in zip(grid, models):
+        assert points == steady_states(mp)
+
+
+def test_mixed_models_cover_every_root_structure():
+    counts = [len(steady_states(mp)) for mp in _mixed_models()]
+    assert counts[:4] == [1, 1, 1, 3]
+    assert any(wp.degenerate for wp in steady_states(_mixed_models()[4]))
+
+
+_PHYSICAL = default_params()
+_OMEGA_L = laser_frequency(_PHYSICAL.wavelength)
+
+
+@given(kappa_over_wm=st.floats(0.3, 1.7), lo=st.floats(0.0, 1.2),
+       width=st.floats(0.01, 1.5), n=st.integers(1, 60))
+@settings(max_examples=40, deadline=None)
+def test_hysteresis_sweeps_differ_only_inside_window(kappa_over_wm, lo, width,
+                                                     n):
+    mp = derive_model(_PHYSICAL)
+    mp = replace(mp, kappa=kappa_over_wm * mp.omega_m)
+    window = bistable_window_estimate(mp, _OMEGA_L)
+    p_ref = window[1] if window else _PHYSICAL.power
+    powers = np.linspace(lo * p_ref, (lo + width) * p_ref, n)
+    trace = hysteresis(mp, powers, _OMEGA_L)
+
+    for power, points in zip(trace.powers, trace.points):
+        E = drive_amplitude(power, mp.kappa, _OMEGA_L)
+        assert list(points) == steady_states(replace(mp, E=E))
+    if window is None:
+        assert trace.switch_down is None and trace.switch_up is None
+        assert all(u is d for u, d in zip(trace.up, trace.down))
+        return
+    p_down, p_up = window
+    assert trace.switch_down in (None, p_down)
+    assert trace.switch_up in (None, p_up)
+    for power, up, down in zip(trace.powers, trace.up, trace.down):
+        if up is not down:
+            # the discriminant tolerance may call a cubic degenerate a
+            # relative ~1e-12 outside the exact window
+            assert p_down * (1 - 1e-9) <= power <= p_up * (1 + 1e-9)
