@@ -5,7 +5,7 @@ Usage:
     python scripts/reproduce_figures.py [--out DIR] [--config PATH] [--grid N]
 
 With no arguments this runs the bundled default parameter set at the
-default grid resolutions: about 11 s of CPU on a 2-CPU Intel Xeon VM with
+default grid resolutions: about 7.6 s on a 2-CPU Intel Xeon VM with
 Python 3.11, most of it in fig5a. Panels that share a sweep
 (``SAME_SWEEP_AS``: fig3b with fig3a, fig5b with fig5a) run it once; the
 second file is a copy of the first. Pass --grid 41 or so for a quick

@@ -10,9 +10,11 @@ drift matrix is
 
 and the diffusion matrix, fixed by the vacuum optical input and the
 Markovian thermal force, is D = diag(0, g_m*(2*nbar+1), kappa, kappa).
-The steady-state covariance solves A V + V A^T + D = 0; the adaptive
-integrator below evolves the transient form and serves as an independent
-oracle for the direct solver.
+The steady-state covariance solves A V + V A^T + D = 0. The direct solver
+takes the 10 upper-triangle entries of V as unknowns; V -> A V + V A^T is
+linear in A, so their 10x10 system is one constant (100, 16) map applied
+to the entries of A. The adaptive integrator below evolves the transient
+form and serves as an independent oracle for the direct solver.
 """
 
 from __future__ import annotations
@@ -38,14 +40,20 @@ MARGINAL_DECAY_FRACTION = 1e-8
 # relative residual bound of the direct Lyapunov solve
 LYAPUNOV_RESIDUAL_RTOL = 1e-9
 
-# symmetric basis of 4x4 matrices and the packed index order
-_PACK_IDX = [(i, j) for i in range(4) for j in range(i, 4)]
-_SYM_BASIS = []
-for _i, _j in _PACK_IDX:
-    _E = np.zeros((4, 4))
-    _E[_i, _j] = 1.0
-    _E[_j, _i] = 1.0
-    _SYM_BASIS.append(_E)
+# packed unknowns: the upper triangle of V, row by row
+_I, _J = np.array([(i, j) for i in range(4) for j in range(i, 4)]).T
+_PACKED = np.zeros((4, 4), dtype=int)  # packed index of every entry of V
+_PACKED[_I, _J] = _PACKED[_J, _I] = np.arange(10)
+
+# _MAP @ A.ravel() is the packed system: entry (r, c) is entry r of
+# A E_c + E_c A^T, where E_c[m, n] = 1 if _PACKED[m, n] == c, else 0. So
+# A[i, q] enters entry (i, j) of column _PACKED[q, j] (from A E_c), and
+# A[j, q] enters entry (i, j) of column _PACKED[i, q] (from E_c A^T).
+_i, _j, _q = np.indices((4, 4, 4))
+_MAP = np.zeros((4, 4, 10, 4, 4))
+_MAP[_i, _j, _PACKED[_q, _j], _i, _q] += 1.0
+_MAP[_i, _j, _PACKED[_i, _q], _j, _q] += 1.0
+_MAP = _MAP[_I, _J].reshape(100, 16)
 
 
 def drift_from_rates(delta: float, G: float, kappa: float,
@@ -104,11 +112,11 @@ def decay_rate(A: np.ndarray) -> float:
 def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Unique symmetric V with A V + V A^T + D = 0.
 
-    Solved as a dense 10-unknown linear system over the packed symmetric
-    components. Raises UnstableSystemError (naming the offending
-    eigenvalue) if A is not Hurwitz, and IllConditionedError if an
-    eigenvalue pair nearly sums to zero or the residual contract
-    max|A V + V A^T + D| <= 1e-9 * max|D| cannot be met.
+    Solved for the 10 packed upper-triangle entries of V as one dense
+    system with matrix ``_MAP @ A.ravel()``. Raises UnstableSystemError
+    (naming the offending eigenvalue) if A is not Hurwitz, and
+    IllConditionedError if an eigenvalue pair nearly sums to zero or the
+    residual contract max|A V + V A^T + D| <= 1e-9 * max|D| cannot be met.
     """
     eig = np.linalg.eigvals(A)
     worst = eig[np.argmax(eig.real)]
@@ -120,21 +128,14 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
         raise IllConditionedError(
             f"eigenvalue pair sums to ~0 (min |l_i + l_j| = {pair_sums.min():.3e})")
 
-    M = np.empty((10, 10))
-    for col, basis in enumerate(_SYM_BASIS):
-        R = A @ basis + basis @ A.T
-        M[:, col] = [R[i, j] for i, j in _PACK_IDX]
-    rhs = -np.array([D[i, j] for i, j in _PACK_IDX])
-    x = np.linalg.solve(M, rhs)
-
-    V = np.empty((4, 4))
-    for value, (i, j) in zip(x, _PACK_IDX):
-        V[i, j] = value
-        V[j, i] = value
+    M = (_MAP @ A.ravel()).reshape(10, 10)
+    x = np.linalg.solve(M, -D[_I, _J])
+    V = x[_PACKED]
 
     residual = np.abs(A @ V + V @ A.T + D).max()
-    bound = LYAPUNOV_RESIDUAL_RTOL * max(np.abs(D).max(), 0.0)
-    if residual > bound and np.abs(D).max() > 0.0:
+    d_max = np.abs(D).max()
+    bound = LYAPUNOV_RESIDUAL_RTOL * d_max
+    if residual > bound and d_max > 0.0:
         raise IllConditionedError(
             f"Lyapunov residual {residual:.3e} exceeds {bound:.3e}")
     return V

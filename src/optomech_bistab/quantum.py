@@ -78,9 +78,8 @@ def log_negativity(V: np.ndarray, photons: float | None = None,
     validity flag vacuously true. Raises PhysicalityError if the
     symplectic discriminant Sigma^2 - 4 det V is negative beyond ``slack``.
     """
-    a_blk, b_blk, c_blk = split_blocks(V)
-    sigma = (np.linalg.det(a_blk) + np.linalg.det(b_blk)
-             - 2.0 * np.linalg.det(c_blk))
+    det_a, det_b, det_c = np.linalg.det(split_blocks(V))  # stacked: one call
+    sigma = det_a + det_b - 2.0 * det_c
     det_v = float(np.linalg.det(V))
     disc = sigma * sigma - 4.0 * det_v
     if disc < -slack:

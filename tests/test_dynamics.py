@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from optomech_bistab import steady
 from optomech_bistab.dynamics import (
@@ -23,6 +25,7 @@ from optomech_bistab.errors import (
     UnstableSystemError,
 )
 from optomech_bistab.params import ModelParams
+from optomech_bistab.quantum import log_negativity
 
 
 def _model(kappa=1.4, delta0=1.0, gamma=1e-5, nbar=0.0, g0=1e-5):
@@ -159,6 +162,67 @@ def test_lyapunov_residual_contract(rng):
         residual = np.abs(A @ V + V @ A.T + D).max()
         assert residual <= 1e-9 * np.abs(D).max()
         assert np.abs(V - V.T).max() <= 1e-10 * np.abs(V).max()
+
+
+def _basis_solve(A, D):
+    """Reference packed solve: M built column by column from A E + E A^T."""
+    I, J = np.triu_indices(4)
+    M = np.empty((10, 10))
+    for col, (k, l) in enumerate(zip(I, J)):
+        E = np.zeros((4, 4))
+        E[k, l] = E[l, k] = 1.0
+        M[:, col] = (A @ E + E @ A.T)[I, J]
+    x = np.linalg.solve(M, -D[I, J])
+    V = np.empty((4, 4))
+    V[I, J] = x
+    V[J, I] = x
+    return V
+
+
+def _matrix(draw, lo, hi):
+    return np.array(draw(st.lists(st.floats(lo, hi), min_size=16,
+                                  max_size=16))).reshape(4, 4)
+
+
+@st.composite
+def hurwitz_problems(draw):
+    """(A, D): a drift matrix with Delta of either sign, -k I, or a random
+    Hurwitz A with a random positive semidefinite D."""
+    kind = draw(st.sampled_from(("drift", "scaled_identity", "random")))
+    if kind == "drift":
+        kappa = draw(st.floats(0.05, 3.0))
+        gamma = draw(st.floats(1e-3, 0.2))
+        delta, g = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.0, 1.5))
+        A = drift_from_rates(delta, g, kappa, 1.0, gamma)
+        nbar = draw(st.floats(0.0, 100.0))
+        D = np.diag([0.0, gamma * (2.0 * nbar + 1.0), kappa, kappa])
+    elif kind == "scaled_identity":
+        A = -draw(st.floats(0.01, 10.0)) * np.eye(4)
+        D = np.diag(draw(st.lists(st.floats(0.0, 5.0), min_size=4,
+                                  max_size=4)))
+    else:
+        B = _matrix(draw, -2.0, 2.0)
+        shift = np.linalg.eigvals(B).real.max() + draw(st.floats(0.05, 2.0))
+        A = B - shift * np.eye(4)
+        C = _matrix(draw, -2.0, 2.0)
+        D = C @ C.T
+    assume(decay_rate(A) > 1e-4)
+    return A, D
+
+
+@given(hurwitz_problems())
+@settings(max_examples=150, deadline=None)
+def test_lyapunov_equals_basis_assembly_bit_for_bit(problem):
+    A, D = problem
+    V = solve_lyapunov(A, D)
+    V_ref = _basis_solve(A, D)
+    assert np.array_equal(V, V_ref)
+    assert np.array_equal(np.signbit(V), np.signbit(V_ref))
+    a_blk, b_blk, c_blk = split_blocks(V)
+    sigma = (np.linalg.det(a_blk) + np.linalg.det(b_blk)
+             - 2.0 * np.linalg.det(c_blk))
+    # infinite slack: Sigma is checked even where V is not a physical state
+    assert log_negativity(V, slack=math.inf).sigma == sigma
 
 
 def test_lyapunov_rejects_unstable():

@@ -1,9 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from optomech_bistab import __version__
+from optomech_bistab.dynamics import (
+    LYAPUNOV_RESIDUAL_RTOL,
+    diffusion_matrix,
+    drift_matrix,
+    solve_lyapunov,
+    symplectic_eigenvalues,
+)
 from optomech_bistab.errors import ValidationError
 from optomech_bistab.harness import (
     AxisSpec,
@@ -18,6 +28,7 @@ from optomech_bistab.harness import (
 )
 from optomech_bistab.params import (
     ModelParams,
+    default_params,
     derive_model,
     laser_frequency,
 )
@@ -208,6 +219,40 @@ def test_eta_delta_sweep_reproduces_three_bands(default_model):
     assert int(np.argmax(high)) == 0
     assert high[0] > 0
     assert classify_regime(asymptotic_coeffs(1.0, 1.4, 1.0)) == 3
+
+
+_DEFAULT_MODEL = derive_model(default_params())
+
+
+def _axis(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=1, max_size=4,
+                    unique=True).map(sorted)
+
+
+@given(kappa_over_wm=st.floats(0.05, 3.0), nbar=st.floats(0.0, 1e4),
+       etas=_axis(1e-3, 1.0), deltas_over_wm=_axis(0.02, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_every_ok_row_is_physical(kappa_over_wm, nbar, etas, deltas_over_wm):
+    w = _DEFAULT_MODEL.omega_m
+    mp = replace(_DEFAULT_MODEL, kappa=kappa_over_wm * w, nbar=nbar)
+    deltas = [d * w for d in deltas_over_wm]
+    assume(len(set(deltas)) == len(deltas))
+    result = sweep(SweepSpec(
+        base=mp, axis1=AxisSpec("eta", tuple(etas)),
+        axis2=AxisSpec("effective_detuning", tuple(deltas))))
+    cells = [(eta, delta) for delta in deltas for eta in etas]
+    assert len(result.rows) == len(cells)
+    D = diffusion_matrix(mp)
+    for row, (eta, delta) in zip(result.rows, cells):
+        if row["status"] != "ok":
+            continue
+        A = drift_matrix(working_point_from_eta(mp, eta, delta), mp)
+        V = solve_lyapunov(A, D)
+        assert row["detV"] == float(np.linalg.det(V))  # the row's covariance
+        assert row["E_N"] >= 0.0
+        assert symplectic_eigenvalues(V).min() >= 0.5 - 1e-9
+        residual = np.abs(A @ V + V @ A.T + D).max()
+        assert residual <= LYAPUNOV_RESIDUAL_RTOL * np.abs(D).max()
 
 
 def test_coupling_surface_decreases_with_detuning(default_model):
