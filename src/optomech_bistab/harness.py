@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import datetime
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,9 +27,6 @@ from .params import (
     PhysicalParams,
     derive_model,
     laser_frequency,
-    with_detuning,
-    with_power,
-    with_temperature,
 )
 from .steady import bistable_window_estimate
 
@@ -43,9 +40,6 @@ RATE_AXES = ("bare_detuning", "effective_detuning", "coupling")
 
 BRANCH_CHOICES = ("lower", "upper", "both", "all")
 
-OUTPUT_NAMES = ("eta", "n_m", "n_o", "E_N", "Sigma", "detV", "G", "Delta",
-                "validity")
-
 _AXIS_COLUMN = {
     "power": "P_in_W",
     "bare_detuning": "Delta0_over_wm",
@@ -55,17 +49,9 @@ _AXIS_COLUMN = {
     "coupling": "G_target_over_wm",
 }
 
-_OUTPUT_COLUMNS = {
-    "Delta": ("Delta_over_wm",),
-    "G": ("G_over_wm",),
-    "eta": ("eta",),
-    "n_m": ("n_m",),
-    "n_o": ("n_o",),
-    "Sigma": ("Sigma",),
-    "detV": ("detV",),
-    "E_N": ("E_N",),
-    "validity": ("validity_ok", "validity_ratio"),
-}
+# PhysicalParams field set by each experimental axis
+_AXIS_FIELD = {"power": "power", "bare_detuning": "delta0",
+               "temperature": "temperature"}
 
 # steady-state fields every row carries, in CSV column order
 _POINT_COLUMNS = ("branch", "q_s", "photons", "Delta_over_wm", "G_over_wm",
@@ -74,6 +60,11 @@ _POINT_COLUMNS = ("branch", "q_s", "photons", "Delta_over_wm", "G_over_wm",
 # covariance-derived fields, NaN on rows that get no covariance
 _COVARIANCE_COLUMNS = ("n_m", "n_o", "Sigma", "detV", "E_N", "validity_ratio",
                        "validity_ok")
+
+# sweep CSV columns after the axis columns
+_ROW_COLUMNS = ("branch", "q_s", "photons", "eta", "n_m", "n_o", "E_N",
+                "Sigma", "detV", "G_over_wm", "Delta_over_wm", "validity_ok",
+                "validity_ratio", "stable", "status")
 
 FIGURE_IDS = ("fig2", "fig3a", "fig3b", "fig4", "fig5a", "fig5b", "fig6")
 
@@ -107,7 +98,6 @@ class SweepSpec:
     axis2: AxisSpec | None = None
     branch: str = "both"
     physical: PhysicalParams | None = None
-    outputs: tuple[str, ...] = OUTPUT_NAMES
     validity_threshold: float = quantum.VALIDITY_THRESHOLD
 
 
@@ -163,9 +153,6 @@ def validate_spec(spec: SweepSpec) -> None:
     if spec.branch not in BRANCH_CHOICES:
         raise ValidationError(
             f"branch: must be one of {BRANCH_CHOICES}, got {spec.branch!r}")
-    unknown = [o for o in spec.outputs if o not in OUTPUT_NAMES]
-    if unknown:
-        raise ValidationError(f"outputs: unknown names {unknown}")
     experimental = [a for a in axes if a in EXPERIMENTAL_AXES]
     theoretical = [a for a in axes if a in THEORETICAL_AXES]
     if experimental and theoretical:
@@ -260,6 +247,7 @@ def _cell_rows(spec: SweepSpec, values: dict[str, float], mp: ModelParams,
             row = evaluate_point(wp, mp, spec.validity_threshold)
         except Exception as exc:  # failures are data, not aborts
             row = {**_point_fields(wp, mp),
+                   **dict.fromkeys(_COVARIANCE_COLUMNS),
                    "status": f"{STATUS_ERROR}:{type(exc).__name__}"}
         rows.append({**axis_cols, **row})
     return rows
@@ -274,13 +262,8 @@ def _synthetic_point(mp: ModelParams,
 
 
 def _cell_model(p: PhysicalParams, values: dict[str, float]) -> ModelParams:
-    if "power" in values:
-        p = with_power(p, values["power"])
-    if "bare_detuning" in values:
-        p = with_detuning(p, values["bare_detuning"])
-    if "temperature" in values:
-        p = with_temperature(p, values["temperature"])
-    return derive_model(p)
+    return derive_model(replace(p, **{_AXIS_FIELD[name]: value
+                                      for name, value in values.items()}))
 
 
 def _cell_points(spec: SweepSpec, cells: list[dict[str, float]]
@@ -303,14 +286,8 @@ def _cell_points(spec: SweepSpec, cells: list[dict[str, float]]
 
 
 def sweep_columns(spec: SweepSpec) -> tuple[str, ...]:
-    cols = [_AXIS_COLUMN[spec.axis2.name]] if spec.axis2 is not None else []
-    cols.append(_AXIS_COLUMN[spec.axis1.name])
-    cols += ["branch", "q_s", "photons"]
-    for name in OUTPUT_NAMES:
-        if name in spec.outputs:
-            cols += list(_OUTPUT_COLUMNS[name])
-    cols += ["stable", "status"]
-    return tuple(cols)
+    axes = (spec.axis1,) if spec.axis2 is None else (spec.axis2, spec.axis1)
+    return (*(_AXIS_COLUMN[axis.name] for axis in axes), *_ROW_COLUMNS)
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
@@ -327,11 +304,9 @@ def sweep(spec: SweepSpec) -> SweepResult:
                 values[spec.axis2.name] = v2
             cells.append(values)
 
-    columns = sweep_columns(spec)
-    rows = []
-    for values, (mp, selected) in zip(cells, _cell_points(spec, cells)):
-        for raw in _cell_rows(spec, values, mp, selected):
-            rows.append({col: raw.get(col) for col in columns})
+    rows = [row
+            for values, (mp, selected) in zip(cells, _cell_points(spec, cells))
+            for row in _cell_rows(spec, values, mp, selected)]
 
     meta = {
         "axis1": f"{spec.axis1.name}[{len(spec.axis1.values)}]",
@@ -343,7 +318,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
     }
     if spec.axis2 is not None:
         meta["axis2"] = f"{spec.axis2.name}[{len(spec.axis2.values)}]"
-    return SweepResult(columns=columns, rows=rows, meta=meta)
+    return SweepResult(columns=sweep_columns(spec), rows=rows, meta=meta)
 
 
 def _format(value) -> str:

@@ -19,7 +19,7 @@ Derived constants:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from scipy.constants import c as _C, hbar as _HBAR, k as _KB
 
@@ -191,15 +191,6 @@ def default_params() -> PhysicalParams:
     )
 
 
-def _convert_frequency(value: float, convention: str) -> float:
-    if convention == ANGULAR:
-        return value
-    if convention == CYCLIC:
-        return _TWO_PI * value
-    raise ValidationError(
-        f"freq_convention: must be '{ANGULAR}' or '{CYCLIC}', got {convention!r}")
-
-
 def load_config(path) -> PhysicalParams:
     """Read a flat ``key = value`` config file into PhysicalParams.
 
@@ -244,9 +235,10 @@ def load_config(path) -> PhysicalParams:
             raise ValidationError(f"{key}: not a number: {raw[key]!r}") from exc
 
     values = {k: number(k) for k in raw}
-    for key in _FREQ_KEYS:
-        if key in values:
-            values[key] = _convert_frequency(values[key], convention)
+    if convention == CYCLIC:
+        for key in _FREQ_KEYS:
+            if key in values:
+                values[key] *= _TWO_PI
 
     return PhysicalParams(
         cavity_length=values["cavity_length_m"],
@@ -261,14 +253,3 @@ def load_config(path) -> PhysicalParams:
         kappa_override=values.get("kappa_override"),
     )
 
-
-def with_power(p: PhysicalParams, power: float) -> PhysicalParams:
-    return replace(p, power=power)
-
-
-def with_detuning(p: PhysicalParams, delta0: float) -> PhysicalParams:
-    return replace(p, delta0=delta0)
-
-
-def with_temperature(p: PhysicalParams, temperature: float) -> PhysicalParams:
-    return replace(p, temperature=temperature)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from optomech_bistab import steady
 from optomech_bistab.dynamics import (
@@ -288,6 +289,41 @@ def test_integrator_matches_direct_solve(default_model):
     t_final = 50.0 / decay_rate(A)
     V_ode = integrate_lyapunov(A, D, 0.5 * np.eye(4), t_final)
     assert np.abs(V_ode - V_direct).max() <= 1e-7
+
+
+def van_loan_covariance(A, D, V0, t):
+    """V(t) of dV/dt = A V + V A^T + D from one matrix exponential.
+
+    expm([[-A, D], [0, A^T]] t) has lower-right block e^{A^T t} = Phi^T
+    and upper-right block F12 with Phi F12 = int_0^t e^{As} D e^{A^T s} ds.
+    """
+    C = np.block([[-A, D], [np.zeros((4, 4)), A.T]])
+    F = expm(C * t)
+    phi = F[4:, 4:].T
+    return phi @ V0 @ phi.T + phi @ F[:4, 4:]
+
+
+def test_integrator_transient_matches_van_loan():
+    # short horizons only: at t ~ 5/rate the e^{kappa t} growth of the
+    # -A block cancels the reference to O(1) error
+    rng = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(30):
+        kappa = rng.uniform(0.3, 2.0)
+        delta = rng.uniform(0.4, 2.5)
+        gamma = rng.uniform(0.02, 0.2)
+        nbar = rng.uniform(0.0, 5.0)
+        g = rng.uniform(0.2, 0.9) * math.sqrt((kappa ** 2 + delta ** 2) / delta)
+        A = drift_from_rates(delta, g, kappa, 1.0, gamma)
+        D = np.diag([0.0, gamma * (2 * nbar + 1), kappa, kappa])
+        B = rng.normal(size=(4, 4))
+        V0 = 0.5 * np.eye(4) + 0.1 * B @ B.T
+        for t in (0.3, 1.0, 3.0):
+            V_ref = van_loan_covariance(A, D, V0, t)
+            V_ode = integrate_lyapunov(A, D, V0, t)
+            err = np.abs(V_ode - V_ref).max() / max(1.0, np.abs(V_ref).max())
+            worst = max(worst, err)
+    assert worst <= 1e-8
 
 
 def test_integrator_underflow_raises():
