@@ -14,7 +14,6 @@ from . import __version__, harness, quantum, steady
 from .errors import (
     IllConditionedError,
     IntegrationError,
-    OutOfRegimeError,
     PhysicalityError,
     UnstableSystemError,
     ValidationError,
@@ -27,20 +26,6 @@ EXIT_NUMERICAL = 3
 
 _NUMERICAL_ERRORS = (UnstableSystemError, IllConditionedError,
                      IntegrationError, PhysicalityError)
-
-
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, default=None,
-                        help="parameter file (key = value); built-in defaults if omitted")
-    parser.add_argument("--out", type=Path, default=Path("out"),
-                        help="output directory for CSV files")
-    parser.add_argument("--grid", type=int, default=None,
-                        help="points per sweep axis (figure/sweep defaults if omitted)")
-    parser.add_argument("--branch", choices=harness.BRANCH_CHOICES,
-                        default="both", help="branch selection for sweeps")
-    parser.add_argument("--validity-threshold", type=float,
-                        default=quantum.VALIDITY_THRESHOLD,
-                        help="linearization validity bound on n_o/|alpha_s|^2")
 
 
 def _parse_axis(text: str, n_default: int,
@@ -80,20 +65,30 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_steady = sub.add_parser("steady", help="steady states at the config power")
-    _common_flags(p_steady)
-
     p_sweep = sub.add_parser("sweep", help="custom 1-D or 2-D parameter sweep")
-    _common_flags(p_sweep)
+    p_fig = sub.add_parser("figure", help="emit the data behind one figure panel")
+    p_opt = sub.add_parser("optima", help="closed-form cooling/entanglement optima")
+
+    # each subcommand takes exactly the flags its handler reads
+    for p in (p_steady, p_sweep, p_fig, p_opt):
+        p.add_argument("--config", type=Path, default=None,
+                       help="parameter file (key = value); built-in defaults if omitted")
+    for p in (p_steady, p_sweep, p_fig):
+        p.add_argument("--out", type=Path, default=Path("out"),
+                       help="output directory for CSV files")
+    for p in (p_sweep, p_fig):
+        p.add_argument("--grid", type=int, default=None,
+                       help="points per sweep axis (figure/sweep defaults if omitted)")
+    p_sweep.add_argument("--branch", choices=harness.BRANCH_CHOICES,
+                         default="both", help="branch selection for sweeps")
+    for p in (p_sweep, p_fig):
+        p.add_argument("--validity-threshold", type=float,
+                       default=quantum.VALIDITY_THRESHOLD,
+                       help="linearization validity bound on n_o/|alpha_s|^2")
     p_sweep.add_argument("--axis1", required=True,
                          help="NAME=LO:HI[:N]; names: " + ", ".join(harness.AXIS_NAMES))
     p_sweep.add_argument("--axis2", default=None, help="optional second axis")
-
-    p_fig = sub.add_parser("figure", help="emit the data behind one figure panel")
-    _common_flags(p_fig)
     p_fig.add_argument("id", choices=harness.FIGURE_IDS)
-
-    p_opt = sub.add_parser("optima", help="closed-form cooling/entanglement optima")
-    _common_flags(p_opt)
 
     return parser
 
@@ -180,7 +175,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ValidationError, OutOfRegimeError) as exc:
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except _NUMERICAL_ERRORS as exc:

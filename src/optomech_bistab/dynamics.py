@@ -37,8 +37,10 @@ if TYPE_CHECKING:  # pragma: no cover
 # decay rates slower than this fraction of omega_m are treated as marginal
 MARGINAL_DECAY_FRACTION = 1e-8
 
-# relative residual bound of the direct Lyapunov solve
+# relative residual bound of the direct Lyapunov solve, floored at the
+# smallest normal float: for a subnormal max|D| the product underflows to 0
 LYAPUNOV_RESIDUAL_RTOL = 1e-9
+_RESIDUAL_FLOOR = np.finfo(float).tiny
 
 # packed unknowns: the upper triangle of V, row by row
 _I, _J = np.array([(i, j) for i in range(4) for j in range(i, 4)]).T
@@ -116,7 +118,8 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     system with matrix ``_MAP @ A.ravel()``. Raises UnstableSystemError
     (naming the offending eigenvalue) if A is not Hurwitz, and
     IllConditionedError if an eigenvalue pair nearly sums to zero or the
-    residual contract max|A V + V A^T + D| <= 1e-9 * max|D| cannot be met.
+    residual contract max|A V + V A^T + D| <= max(1e-9 * max|D|, tiny)
+    cannot be met, tiny being the smallest normal float.
     """
     eig = np.linalg.eigvals(A)
     worst = eig[np.argmax(eig.real)]
@@ -133,9 +136,8 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     V = x[_PACKED]
 
     residual = np.abs(A @ V + V @ A.T + D).max()
-    d_max = np.abs(D).max()
-    bound = LYAPUNOV_RESIDUAL_RTOL * d_max
-    if residual > bound and d_max > 0.0:
+    bound = max(LYAPUNOV_RESIDUAL_RTOL * np.abs(D).max(), _RESIDUAL_FLOOR)
+    if residual > bound:
         raise IllConditionedError(
             f"Lyapunov residual {residual:.3e} exceeds {bound:.3e}")
     return V

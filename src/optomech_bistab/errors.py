@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps ValidationError/OutOfRegimeError to exit code 2 and the
-numerical failures to exit code 3.
+The CLI maps ValidationError to exit code 2 and the numerical failures
+to exit code 3. OutOfRegimeError comes only from library calls made
+outside their regime (``dynamics.is_stable_rh`` at Delta <= 0), which no
+CLI path makes.
 """
 
 

@@ -313,11 +313,13 @@ def sweep(spec: SweepSpec) -> SweepResult:
         "branch": spec.branch,
         "kappa_over_wm": repr(spec.base.kappa / spec.base.omega_m),
         "gamma_over_wm": repr(spec.base.gamma_m / spec.base.omega_m),
-        "nbar": repr(spec.base.nbar),
         "validity_threshold": repr(spec.validity_threshold),
     }
     if spec.axis2 is not None:
         meta["axis2"] = f"{spec.axis2.name}[{len(spec.axis2.values)}]"
+    # a temperature axis sets nbar per row, and its T_K column carries it
+    if "temperature" not in cells[0]:
+        meta["nbar"] = repr(spec.base.nbar)
     return SweepResult(columns=sweep_columns(spec), rows=rows, meta=meta)
 
 
@@ -409,60 +411,31 @@ def figure_command(fig_id: str, physical: PhysicalParams, out_dir,
     n = grid if grid is not None else \
         {"fig3a": 101, "fig5a": 201}.get(sweep_id, 400)
 
-    def emit(result: SweepResult, name: str) -> Path:
-        return write_csv(result, out_dir / name, version, timestamp)
-
     if fig_id == "fig2":
         powers = _default_power_grid(mp, omega_L, physical.power, n)
-        trace = steady.hysteresis(mp, powers, omega_L)
-        return [emit(_hysteresis_rows(trace, mp), "fig2.csv")]
-
-    if sweep_id == "fig3a":
-        spec = SweepSpec(
-            base=mp,
-            axis1=AxisSpec("eta", linear_grid(1e-3, 1.0, n)),
-            axis2=AxisSpec("effective_detuning",
-                           linear_grid(0.02 * mp.omega_m, 3.0 * mp.omega_m, n)),
-            branch="all",
-            validity_threshold=validity_threshold,
-        )
-        result = sweep(spec)
-        return [emit(result, f"{fig_id}.csv")]
-
-    if fig_id == "fig4":
-        spec = SweepSpec(
-            base=mp,
-            physical=physical,
-            axis1=AxisSpec("power", _default_power_grid(mp, omega_L,
-                                                        physical.power, n)),
-            branch="both",
-            validity_threshold=validity_threshold,
-        )
-        return [emit(sweep(spec), "fig4.csv")]
-
-    if sweep_id == "fig5a":
-        window = bistable_window_estimate(mp, omega_L)
-        p_hi = 1.5 * window[1] if window else 2.0 * physical.power
-        # built first: it rejects n < 1 before p_hi / n is taken
-        detunings = linear_grid(0.5 * mp.omega_m, 4.0 * mp.omega_m, n)
-        spec = SweepSpec(
-            base=mp,
-            physical=physical,
-            axis1=AxisSpec("power", linear_grid(p_hi / n, p_hi, n)),
-            axis2=AxisSpec("bare_detuning", detunings),
-            branch="lower",
-            validity_threshold=validity_threshold,
-        )
-        return [emit(sweep(spec), f"{fig_id}.csv")]
-
-    # fig6
-    spec = SweepSpec(
-        base=mp,
-        physical=physical,
-        axis1=AxisSpec("power", _default_power_grid(mp, omega_L,
-                                                    physical.power, n)),
-        axis2=AxisSpec("temperature", (0.4, 5.0, 10.0)),
-        branch="both",
-        validity_threshold=validity_threshold,
-    )
-    return [emit(sweep(spec), "fig6.csv")]
+        result = _hysteresis_rows(steady.hysteresis(mp, powers, omega_L), mp)
+    else:
+        axis2 = None
+        if sweep_id == "fig3a":
+            axis1 = AxisSpec("eta", linear_grid(1e-3, 1.0, n))
+            axis2 = AxisSpec("effective_detuning",
+                             linear_grid(0.02 * mp.omega_m, 3.0 * mp.omega_m, n))
+            branch = "all"
+        elif sweep_id == "fig5a":
+            window = bistable_window_estimate(mp, omega_L)
+            p_hi = 1.5 * window[1] if window else 2.0 * physical.power
+            # built first: it rejects n < 1 before p_hi / n is taken
+            axis2 = AxisSpec("bare_detuning",
+                             linear_grid(0.5 * mp.omega_m, 4.0 * mp.omega_m, n))
+            axis1 = AxisSpec("power", linear_grid(p_hi / n, p_hi, n))
+            branch = "lower"
+        else:  # fig4, and fig6 adds the temperature axis
+            axis1 = AxisSpec("power", _default_power_grid(mp, omega_L,
+                                                          physical.power, n))
+            if fig_id == "fig6":
+                axis2 = AxisSpec("temperature", (0.4, 5.0, 10.0))
+            branch = "both"
+        result = sweep(SweepSpec(base=mp, physical=physical, axis1=axis1,
+                                 axis2=axis2, branch=branch,
+                                 validity_threshold=validity_threshold))
+    return [write_csv(result, out_dir / f"{fig_id}.csv", version, timestamp)]

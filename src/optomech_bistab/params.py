@@ -19,7 +19,7 @@ Derived constants:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from scipy.constants import c as _C, hbar as _HBAR, k as _KB
 
@@ -30,23 +30,23 @@ CYCLIC = "cyclic"
 
 _TWO_PI = 2.0 * math.pi
 
-# config keys, in canonical file order
-CONFIG_KEYS = (
-    "cavity_length_m",
-    "finesse",
-    "wavelength_m",
-    "power_W",
-    "mass_kg",
-    "mech_freq",
-    "mech_damping",
-    "temperature_K",
-    "bare_detuning",
-    "freq_convention",
-    "kappa_override",
-)
+# config key -> (PhysicalParams field, whether the entry is a frequency
+# subject to the angular/cyclic convention), in canonical file order
+_CONFIG_FIELDS = {
+    "cavity_length_m": ("cavity_length", False),
+    "finesse": ("finesse", False),
+    "wavelength_m": ("wavelength", False),
+    "power_W": ("power", False),
+    "mass_kg": ("mass", False),
+    "mech_freq": ("omega_m", True),
+    "mech_damping": ("gamma_m", True),
+    "temperature_K": ("temperature", False),
+    "bare_detuning": ("delta0", True),
+    "kappa_override": ("kappa_override", True),
+}
 
-# frequency-like config entries subject to the angular/cyclic convention
-_FREQ_KEYS = ("mech_freq", "mech_damping", "bare_detuning", "kappa_override")
+# the one config key that sets no field
+_CONVENTION_KEY = "freq_convention"
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ def load_config(path) -> PhysicalParams:
                         f"config line {lineno}: expected 'key = value', got {line!r}")
                 key, _, value = line.partition("=")
                 key = key.strip()
-                if key not in CONFIG_KEYS:
+                if key not in _CONFIG_FIELDS and key != _CONVENTION_KEY:
                     raise ValidationError(f"config line {lineno}: unknown key {key!r}")
                 if key in raw:
                     raise ValidationError(f"config line {lineno}: duplicate key {key!r}")
@@ -218,13 +218,15 @@ def load_config(path) -> PhysicalParams:
     except OSError as exc:
         raise ValidationError(f"config: cannot read {path}: {exc}") from exc
 
-    convention = raw.pop("freq_convention", CYCLIC)
+    convention = raw.pop(_CONVENTION_KEY, CYCLIC)
     if convention not in (ANGULAR, CYCLIC):
         raise ValidationError(
-            f"freq_convention: must be '{ANGULAR}' or '{CYCLIC}', got {convention!r}")
+            f"{_CONVENTION_KEY}: must be '{ANGULAR}' or '{CYCLIC}', got {convention!r}")
 
-    required = [k for k in CONFIG_KEYS if k not in ("freq_convention", "kappa_override")]
-    missing = [k for k in required if k not in raw]
+    # keys of fields without a default are required
+    optional = {f.name for f in fields(PhysicalParams) if f.default is not MISSING}
+    missing = [k for k, (name, _) in _CONFIG_FIELDS.items()
+               if k not in raw and name not in optional]
     if missing:
         raise ValidationError(f"config: missing keys {', '.join(missing)}")
 
@@ -235,21 +237,7 @@ def load_config(path) -> PhysicalParams:
             raise ValidationError(f"{key}: not a number: {raw[key]!r}") from exc
 
     values = {k: number(k) for k in raw}
-    if convention == CYCLIC:
-        for key in _FREQ_KEYS:
-            if key in values:
-                values[key] *= _TWO_PI
-
-    return PhysicalParams(
-        cavity_length=values["cavity_length_m"],
-        finesse=values["finesse"],
-        wavelength=values["wavelength_m"],
-        power=values["power_W"],
-        mass=values["mass_kg"],
-        omega_m=values["mech_freq"],
-        gamma_m=values["mech_damping"],
-        temperature=values["temperature_K"],
-        delta0=values["bare_detuning"],
-        kappa_override=values.get("kappa_override"),
-    )
-
+    return PhysicalParams(**{
+        name: values[key] * _TWO_PI if frequency and convention == CYCLIC
+        else values[key]
+        for key, (name, frequency) in _CONFIG_FIELDS.items() if key in values})

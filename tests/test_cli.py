@@ -99,6 +99,22 @@ def test_grid_zero_is_rejected(tmp_path, config_file, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["steady", "--grid", "5"],
+    ["steady", "--branch", "upper"],
+    ["steady", "--validity-threshold", "0.5"],
+    ["figure", "fig5a", "--branch", "upper"],
+    ["optima", "--out", "out"],
+    ["optima", "--grid", "5"],
+    ["optima", "--branch", "upper"],
+    ["optima", "--validity-threshold", "0.5"],
+], ids=" ".join)
+def test_flags_a_command_does_not_read_are_rejected(command):
+    with pytest.raises(SystemExit) as err:
+        main(command)
+    assert err.value.code == 2
+
+
 def test_figure_command_runs(tmp_path, config_file):
     code = main(["figure", "fig2", "--config", str(config_file),
                  "--out", str(tmp_path / "out"), "--grid", "40"])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -212,6 +212,8 @@ def hurwitz_problems(draw):
 
 
 @given(hurwitz_problems())
+# a subnormal max|D|, where 1e-9 * max|D| underflows to 0
+@example((-np.eye(4), np.diag([0.0, 0.0, 0.0, 5e-324])))
 @settings(max_examples=150, deadline=None)
 def test_lyapunov_equals_basis_assembly_bit_for_bit(problem):
     A, D = problem

@@ -398,6 +398,38 @@ def test_figure6_entanglement_support_shrinks(tmp_path, default_physical):
     assert starts[0] < starts[1] < starts[2]
 
 
+def _csv(path):
+    """(meta lines, header, rows) of a CSV written by write_csv."""
+    lines = path.read_text().splitlines()
+    meta = [l for l in lines[1:] if l.startswith("#")]
+    body = [l.split(",") for l in lines if not l.startswith("#")]
+    return meta, body[0], body[1:]
+
+
+def test_figure6_is_figure4_at_three_temperatures(tmp_path, default_physical):
+    fig4, fig6 = (figure_command(fig_id, default_physical, tmp_path, grid=12,
+                                 version=__version__, timestamp="T")[0]
+                  for fig_id in ("fig4", "fig6"))
+    _, header4, rows4 = _csv(fig4)
+    _, header6, rows6 = _csv(fig6)
+    t_idx = header6.index("T_K")
+    assert header6[:t_idx] + header6[t_idx + 1:] == header4
+    assert len(rows6) == 3 * len(rows4) > 0
+    at_04 = [row[:t_idx] + row[t_idx + 1:] for row in rows6
+             if row[t_idx] == "0.4"]
+    assert at_04 == rows4
+
+
+def test_temperature_sweep_writes_no_nbar(tmp_path, default_physical):
+    # one nbar line would be wrong for every row off the base temperature
+    fig6 = figure_command("fig6", default_physical, tmp_path, grid=3,
+                          version=__version__, timestamp="T")[0]
+    assert not any(l.startswith("# nbar=") for l in _csv(fig6)[0])
+    fig4 = figure_command("fig4", default_physical, tmp_path, grid=3,
+                          version=__version__, timestamp="T")[0]
+    assert f"# nbar={derive_model(default_physical).nbar!r}" in _csv(fig4)[0]
+
+
 def test_figure_unknown_id(tmp_path, default_physical):
     with pytest.raises(ValidationError, match="unknown id"):
         figure_command("fig9", default_physical, tmp_path)
