@@ -152,8 +152,9 @@ def integrate_lyapunov(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
     local tolerance; V is symmetrized once, at the end. Raises
     IntegrationError when a step falls below the floor 1e-14 * t_final.
     """
-    # imported here: at module level it would about double the package's
-    # import time, and add ~30 MB, for an oracle the pipeline never calls
+    # imported here, the package's only scipy import: at module level it
+    # would add ~0.45 s (about four times the numpy-only package import)
+    # and ~50 MB of resident memory, for an oracle the pipeline never calls
     from scipy.integrate import DOP853
 
     if not t_final > 0:

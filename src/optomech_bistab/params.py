@@ -14,6 +14,11 @@ Derived constants:
     G0 = (omega_c/L) * sqrt(hbar/(m*omega_m))
     E  = sqrt(2*P*kappa / (hbar*omega_L))
     nbar = 1 / (exp(hbar*omega_m/(kB*T)) - 1),  nbar = 0 at T = 0
+
+The physical constants c, hbar and kB are defined here, from the exact
+SI-2019 values (c, h and kB are defining constants; hbar = h/(2*pi)).
+They equal ``scipy.constants.c``, ``hbar`` and ``k`` bit for bit; taking
+them from scipy would make every import of the package load scipy.
 """
 
 from __future__ import annotations
@@ -21,9 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 
-from scipy.constants import c as _C, hbar as _HBAR, k as _KB
-
 from .errors import ValidationError
+
+_C = 299792458.0                        # speed of light, m/s
+_KB = 1.380649e-23                      # Boltzmann constant, J/K
+_HBAR = 6.62607015e-34 / (2 * math.pi)  # reduced Planck constant, J s
 
 ANGULAR = "angular"
 CYCLIC = "cyclic"
@@ -126,6 +133,12 @@ def cavity_decay(cavity_length: float, finesse: float) -> float:
 def drive_amplitude(power: float, kappa: float, omega_L: float) -> float:
     """Drive amplitude sqrt(2*P*kappa/(hbar*omega_L))."""
     return math.sqrt(2.0 * power * kappa / (_HBAR * omega_L))
+
+
+def drive_power(e2: float, kappa: float, omega_L: float) -> float:
+    """Input power hbar*omega_L*E^2/(2*kappa) of the squared drive
+    amplitude ``e2``; the inverse of ``drive_amplitude``."""
+    return _HBAR * omega_L * e2 / (2.0 * kappa)
 
 
 def derive_model(p: PhysicalParams) -> ModelParams:

@@ -26,11 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from scipy.constants import hbar as _HBAR
-
 from . import dynamics
 from .errors import ValidationError
-from .params import ModelParams, drive_amplitude
+from .params import ModelParams, drive_amplitude, drive_power
 
 # relative discriminant threshold below which a cubic counts as degenerate
 _DEGENERATE_RTOL = 1e-12
@@ -328,7 +326,7 @@ def bistable_window_estimate(mp: ModelParams,
     def power_at(q):
         delta = mp.delta0 - mp.G0 * q
         e2 = mp.omega_m * q * (mp.kappa ** 2 + delta ** 2) / mp.G0
-        return _HBAR * omega_L * e2 / (2.0 * mp.kappa)
+        return drive_power(e2, mp.kappa, omega_L)
 
     root = math.sqrt(disc)
     q_lo = (2.0 * mp.delta0 - root) / (3.0 * mp.G0)  # local max of the cubic

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from optomech_bistab import __version__
+from optomech_bistab import __version__, harness
 from optomech_bistab.cli import main
 
 
@@ -175,3 +177,50 @@ def test_validity_threshold_flag(tmp_path, config_file):
 
     assert flag(strict) == "0"
     assert flag(loose) == "1"
+
+
+# row statuses of a sweep, less the error:<exception> rows of a per-row
+# exception the harness did not expect
+STATUSES = {harness.STATUS_OK, harness.STATUS_UNSTABLE, harness.STATUS_MARGINAL,
+            harness.STATUS_CONDITIONING, harness.STATUS_DEGENERATE}
+
+# edge inputs that must end in exit 0 with CSV rows (each with one of
+# STATUSES where the CSV has a status column), never in a traceback; each
+# config edit replaces one line of CONFIG
+EDGE_PROBES = [
+    ("power_W = 0", ["sweep", "--axis1", "bare_detuning=0.5:4:5"]),
+    ("temperature_K = 0", ["sweep", "--axis1", "power=0.01:0.1:5"]),
+    ("bare_detuning = -2.62e7", ["sweep", "--axis1", "power=0.01:0.1:5"]),
+    (None, ["sweep", "--axis1", "power=0:1e6:20"]),
+    (None, ["figure", "fig2", "--grid", "1"]),
+    (None, ["figure", "fig2", "--grid", "2"]),
+    (None, ["figure", "fig3a", "--grid", "1"]),
+    (None, ["figure", "fig3a", "--grid", "2"]),
+    (None, ["figure", "fig5a", "--grid", "1"]),
+    (None, ["figure", "fig5a", "--grid", "2"]),
+    (None, ["sweep", "--axis1", "eta=-5:1", "--axis2", "effective_detuning=1:1:1"]),
+    (None, ["sweep", "--axis1", "eta=1e-9:1e-3",
+            "--axis2", "effective_detuning=1:1:1"]),
+    (None, ["sweep", "--axis1", "coupling=0:50",
+            "--axis2", "effective_detuning=1:1:1"]),
+]
+
+
+@pytest.mark.parametrize("edit,command", EDGE_PROBES,
+                         ids=[" ".join(filter(None, [e, *c])) for e, c in EDGE_PROBES])
+def test_edge_inputs_end_in_status_rows(tmp_path, edit, command):
+    config = CONFIG
+    if edit is not None:
+        key = edit.split(" = ")[0]
+        config = re.sub(rf"^{key} = .*$", edit, CONFIG, flags=re.M)
+        assert config != CONFIG
+    path = tmp_path / "edge.cfg"
+    path.write_text(config)
+    out = tmp_path / "out"
+    assert main(command + ["--config", str(path), "--out", str(out)]) == 0
+    (csv,) = out.glob("*.csv")
+    lines = [l for l in csv.read_text().splitlines() if not l.startswith("#")]
+    header, rows = lines[0].split(","), [l.split(",") for l in lines[1:]]
+    assert rows
+    if "status" in header:
+        assert {r[header.index("status")] for r in rows} <= STATUSES

@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from optomech_bistab import dynamics, quantum, steady
+import optomech_bistab
+from optomech_bistab import dynamics, params, quantum, steady
 from optomech_bistab.errors import ValidationError
 from optomech_bistab.params import (
     ANGULAR,
@@ -13,6 +18,8 @@ from optomech_bistab.params import (
     ModelParams,
     default_params,
     derive_model,
+    drive_amplitude,
+    drive_power,
     load_config,
     normalize,
     thermal_phonons,
@@ -49,6 +56,45 @@ def test_reference_constants_regression(reference_model):
     assert mp.G0 == pytest.approx(G0_REF, rel=1e-12)
     assert mp.E == pytest.approx(E_REF_50MW, rel=1e-12)
     assert mp.nbar == pytest.approx(NBAR_REF, rel=1e-12)
+
+
+def test_constants_equal_scipy():
+    import scipy.constants
+
+    assert params._C == scipy.constants.c
+    assert params._HBAR == scipy.constants.hbar
+    assert params._KB == scipy.constants.k
+
+
+def test_drive_power_inverts_drive_amplitude(reference_model):
+    omega_L = params.laser_frequency(810e-9)
+    E = drive_amplitude(0.05, reference_model.kappa, omega_L)
+    assert drive_power(E ** 2, reference_model.kappa, omega_L) == \
+        pytest.approx(0.05, rel=1e-14)
+
+
+# run in a fresh interpreter: the test process has scipy loaded already
+_IMPORT_PROBE = """
+import sys
+import numpy as np
+import optomech_bistab.cli
+from optomech_bistab import integrate_lyapunov
+loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+if loaded:
+    sys.exit(f"import loaded {len(loaded)} scipy modules: {sorted(loaded)[:5]}")
+integrate_lyapunov(-np.eye(4), np.eye(4), np.eye(4), 1.0)
+if "scipy.integrate" not in sys.modules:
+    sys.exit("integrate_lyapunov did not load scipy.integrate")
+"""
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(optomech_bistab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
 
 
 def test_kappa_override_bypasses_finesse(reference_physical):
