@@ -16,6 +16,7 @@ from __future__ import annotations
 import datetime
 import math
 from dataclasses import dataclass, field, replace
+from itertools import tee
 from pathlib import Path
 
 import numpy as np
@@ -172,8 +173,9 @@ def validate_spec(spec: SweepSpec) -> None:
         raise ValidationError("validity_threshold: must be positive")
 
 
-def _point_fields(wp: steady.WorkingPoint, mp: ModelParams) -> dict:
-    """The steady-state fields of a CSV row, rates in units of omega_m."""
+def _point_fields(wp, mp: ModelParams) -> dict:
+    """The steady-state fields of a CSV row, rates in units of omega_m; of
+    a WorkingPoint, or as columns over all roots of a ``RootTable``."""
     return dict(zip(_POINT_COLUMNS, (
         wp.branch, wp.q_s, wp.photons, wp.delta / mp.omega_m,
         wp.G / mp.omega_m, wp.eta, wp.stable)))
@@ -323,35 +325,61 @@ def sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(columns=sweep_columns(spec), rows=rows, meta=meta)
 
 
-def _format(value) -> str:
-    if value is None:
-        return "NaN"
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, str):
-        return value
-    value = float(value)
-    if math.isnan(value):
-        return "NaN"
-    return repr(value)
+# rows formatted and written per block; cell text of None and the bools,
+# and the fix-up of repr's None and NaN
+_BLOCK_ROWS = 128
+_WORDS = {None: "NaN", True: "1", False: "0"}
+_NAN_TEXT = {"None": "NaN", "nan": "NaN"}
+
+
+def _column_cells(name: str, values: list):
+    """CSV cells of one column: strings verbatim, bools as 1/0, None and
+    NaN as NaN, any other value as repr(float(value)). Float cells come
+    lazily, so that a block holds no more than a row of them at once."""
+    kinds = set(map(type, values))
+    if not kinds <= {float, str, bool, type(None)}:
+        values = [v if v is None or isinstance(v, bool) else str.__str__(v)
+                  if isinstance(v, str) else float(v) for v in values]
+        kinds = set(map(type, values))
+    if kinds <= {float, type(None)}:  # repr holds no comma or line break
+        text, again = tee(map(repr, values))
+        return map(_NAN_TEXT.get, text, again)
+    if kinds <= {str, bool, type(None)}:  # no key of _WORDS equals a str
+        cells = list(map(_WORDS.get, values, values))
+    else:  # floats among words
+        cells = [c for v in values for c in _column_cells(name, [v])]
+    joined = "".join(cells)
+    if "," in joined or "\n" in joined or "\r" in joined:
+        raise ValueError(f"write_csv: column {name!r} holds a comma or a "
+                         "line break, which is not quoted")
+    return cells
 
 
 def write_csv(result: SweepResult, path, version: str,
               timestamp: str | None = None) -> Path:
     """Write a sweep result; only the first (timestamp) line varies
-    between identical runs."""
+    between identical runs. Cells are not quoted: a string cell holding a
+    comma or a line break raises ValueError naming its column."""
     path = Path(path)
     if timestamp is None:
         timestamp = datetime.datetime.now(datetime.timezone.utc) \
             .strftime("%Y-%m-%dT%H:%M:%SZ")
-    lines = [f"# optomech-bistab v{version} {timestamp}"]
-    for key in sorted(result.meta):
-        lines.append(f"# {key}={result.meta[key]}")
-    lines.append(",".join(result.columns))
-    for row in result.rows:
-        lines.append(",".join(_format(row[col]) for col in result.columns))
+    head = [f"# optomech-bistab v{version} {timestamp}"]
+    head += [f"# {key}={result.meta[key]}" for key in sorted(result.meta)]
+    head.append(",".join(result.columns))
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        with path.open("w", encoding="utf-8") as f:
+            f.write("\n".join(head) + "\n")
+            for start in range(0, len(result.rows), _BLOCK_ROWS):
+                block = result.rows[start:start + _BLOCK_ROWS]
+                cells = [_column_cells(col, [row[col] for row in block])
+                         for col in result.columns]
+                f.write("".join(",".join(line) + "\n"
+                                for line in zip(*cells)))
+    except ValueError:
+        path.unlink()  # no partial file
+        raise
     return path
 
 
@@ -366,18 +394,23 @@ def linear_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
 
 def _hysteresis_rows(trace: steady.HysteresisTrace,
                      mp: ModelParams) -> SweepResult:
-    columns = ("P_in_W", *_POINT_COLUMNS, "on_up_sweep", "on_down_sweep")
-    rows = [{"P_in_W": power, **_point_fields(wp, mp),
-             "on_up_sweep": wp is up, "on_down_sweep": wp is down}
-            for power, pts, up, down in zip(trace.powers, trace.points,
-                                            trace.up, trace.down)
-            for wp in pts]
+    t = trace.table
+    # a model's roots are contiguous: the up-sweep is on its first root,
+    # the down-sweep on its last
+    end, index = np.cumsum(t.count)[t.model], np.arange(len(t.model))
+    fields = {"P_in_W": np.array(trace.powers)[t.model],
+              **_point_fields(t, mp),
+              "on_up_sweep": index == end - t.count[t.model],
+              "on_down_sweep": index == end - 1}
+    values = [v.tolist() if isinstance(v, np.ndarray) else v
+              for v in fields.values()]
+    rows = [dict(zip(fields, row)) for row in zip(*values)]
     meta = {
         "switch_up_W": "NaN" if trace.switch_up is None else repr(trace.switch_up),
         "switch_down_W": "NaN" if trace.switch_down is None else repr(trace.switch_down),
         "kappa_over_wm": repr(mp.kappa / mp.omega_m),
     }
-    return SweepResult(columns=columns, rows=rows, meta=meta)
+    return SweepResult(columns=tuple(fields), rows=rows, meta=meta)
 
 
 def _default_power_grid(mp: ModelParams, omega_L: float, fallback: float,

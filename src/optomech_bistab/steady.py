@@ -14,15 +14,19 @@ The cubic is solved array-at-a-time: ``steady_states_grid`` takes model
 constants as broadcast numpy arrays (a power grid, an experimental sweep
 grid) and computes the closed-form roots, their Newton polish, the
 working-point quantities and one stacked spectral stability verdict for
-every grid point in one pass. ``steady_states`` and ``real_cubic_roots``
-are its one-model views, so each result is bit-identical whether a model
-is solved alone or as part of a grid.
+every grid point in one pass, into one root table: an array per field
+over all roots of the grid. ``WorkingPoint`` objects are a view of that
+table, built only when a caller asks for them. ``steady_states`` and
+``real_cubic_roots`` are one-model views, so each result is bit-identical
+whether a model is solved alone or as part of a grid.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -55,16 +59,40 @@ class WorkingPoint:
     degenerate: bool = False  # double root exactly at a turning point
 
 
-@dataclass(frozen=True)
+# All roots of a grid of models, in model order and ascending q_s within a
+# model; numpy arrays, but lists for branch and stable. Per root: its model
+# index, E and kappa of that model, the WorkingPoint fields; ``count`` is
+# per model: its number of roots.
+RootTable = namedtuple("RootTable", "model count q_s photons delta G eta E "
+                                    "kappa branch stable degenerate")
+
+
+@dataclass(frozen=True, eq=False)
 class HysteresisTrace:
-    """Steady states over a power grid with adiabatic sweep selections."""
+    """Steady states over a power grid with adiabatic sweep selections.
+
+    ``points``, ``up`` and ``down`` are views of ``table``, built on first
+    access. The up-sweep rides the smallest root until it ceases to exist
+    (the remaining single root IS the post-jump state); the down-sweep
+    mirrors it on the largest root.
+    """
 
     powers: tuple[float, ...]                 # W, ascending
-    points: tuple[tuple[WorkingPoint, ...], ...]
-    up: tuple[WorkingPoint, ...]              # branch followed on the up-sweep
-    down: tuple[WorkingPoint, ...]            # branch followed on the down-sweep
+    table: RootTable
     switch_up: float | None                   # W, lower branch disappears
     switch_down: float | None                 # W, upper branch disappears
+
+    @cached_property
+    def points(self) -> tuple[tuple[WorkingPoint, ...], ...]:
+        return tuple(map(tuple, _working_points(self.table)))
+
+    @cached_property
+    def up(self) -> tuple[WorkingPoint, ...]:    # followed on the up-sweep
+        return tuple(pts[0] for pts in self.points)
+
+    @cached_property
+    def down(self) -> tuple[WorkingPoint, ...]:  # followed on the down-sweep
+        return tuple(pts[-1] for pts in self.points)
 
 
 def bistability_parameter(delta: float, G: float, kappa: float,
@@ -215,6 +243,24 @@ def steady_states_grid(mp: ModelParams) -> list[list[WorkingPoint]]:
     over the grid, and the spectral stability verdicts of all roots come
     from one stacked eigenvalue call.
     """
+    return _working_points(_solve_grid(mp))
+
+
+def _working_points(t: RootTable) -> list[list[WorkingPoint]]:
+    """The ``WorkingPoint`` view of a root table, one list per model."""
+    points: list[list[WorkingPoint]] = [[] for _ in range(len(t.count))]
+    for r, q_k, e, kap, d, ph, g, et, br, st, dg in zip(
+            t.model.tolist(), t.q_s.tolist(), t.E.tolist(), t.kappa.tolist(),
+            t.delta.tolist(), t.photons.tolist(), t.G.tolist(),
+            t.eta.tolist(), t.branch, t.stable, t.degenerate.tolist()):
+        points[r].append(WorkingPoint(
+            q_s=q_k, p_s=0.0, alpha_s=e / complex(kap, d), photons=ph,
+            delta=d, G=g, eta=et, branch=br, stable=st, degenerate=dg))
+    return points
+
+
+def _solve_grid(mp: ModelParams) -> RootTable:
+    """The root table of every model of a grid (see ``steady_states_grid``)."""
     kappa, G0, E, delta0, omega_m, gamma_m = (
         a.ravel().astype(float) for a in np.broadcast_arrays(
             mp.kappa, mp.G0, mp.E, mp.delta0, mp.omega_m, mp.gamma_m))
@@ -235,14 +281,14 @@ def steady_states_grid(mp: ModelParams) -> list[list[WorkingPoint]]:
         roots[cubic], count[cubic], degenerate[cubic] = _cubic_roots(
             c3[cubic], c2[cubic], c1[cubic], c0[cubic])
 
-    double_idx = {}
+    row, col = np.nonzero(np.arange(3) < count[:, None])
+    double = np.zeros(len(row), dtype=bool)
     for r in np.flatnonzero(degenerate).tolist():
         # the repeated root is the one at a turning point: f'(q) ~ 0 there
         q = roots[r, :count[r]]
-        double_idx[r] = int(np.argmin(
-            np.abs((3.0 * c3[r] * q + 2.0 * c2[r]) * q + c1[r])))
+        k = int(np.argmin(np.abs((3.0 * c3[r] * q + 2.0 * c2[r]) * q + c1[r])))
+        double[np.searchsorted(row, r) + k] = True
 
-    row, col = np.nonzero(np.arange(3) < count[:, None])
     q = roots[row, col]
     kappa, G0, E, delta0, omega_m, gamma_m = (
         a[row] for a in (kappa, G0, E, delta0, omega_m, gamma_m))
@@ -252,18 +298,11 @@ def steady_states_grid(mp: ModelParams) -> list[list[WorkingPoint]]:
     eta = bistability_parameter(delta, G, kappa, omega_m)
     stable = dynamics.is_stable_spectral(
         dynamics.drift_from_rates(delta, G, kappa, omega_m, gamma_m))
-
-    points: list[list[WorkingPoint]] = [[] for _ in range(n)]
     labels = [_DEGENERATE_LABELS if d else _LABELS for d in degenerate.tolist()]
-    for r, k, q_k, e, kap, d, ph, g, et, st in zip(
-            row.tolist(), col.tolist(), q.tolist(), E.tolist(),
-            kappa.tolist(), delta.tolist(), photons.tolist(), G.tolist(),
-            eta.tolist(), stable):
-        points[r].append(WorkingPoint(
-            q_s=q_k, p_s=0.0, alpha_s=e / complex(kap, d), photons=ph,
-            delta=d, G=g, eta=et, branch=labels[r][k], stable=st,
-            degenerate=double_idx.get(r) == k))
-    return points
+    branch = [labels[r][k] for r, k in zip(row.tolist(), col.tolist())]
+    return RootTable(model=row, count=count, q_s=q, photons=photons,
+                     delta=delta, G=G, eta=eta, E=E, kappa=kappa,
+                     branch=branch, stable=stable, degenerate=double)
 
 
 def working_point_from_coupling(mp: ModelParams, G: float,
@@ -340,10 +379,10 @@ def hysteresis(mp: ModelParams, powers, omega_L: float) -> HysteresisTrace:
     ``mp`` must be in absolute units (rad/s) so that the power-to-drive
     conversion E = sqrt(2*P*kappa/(hbar*omega_L)) is meaningful. The
     up-sweep follows the lower branch until it ceases to exist, then jumps
-    to the upper branch; the down-sweep is the mirror image. The steady
-    states of all powers come from one ``steady_states_grid`` call over
-    the drive amplitudes of the grid. Where the root count changes between
-    grid points, the switch power is the exact turning-point power of
+    to the upper branch; the down-sweep is the mirror image. One grid
+    solve over the drive amplitudes of the grid gives the root table the
+    trace holds. Where the root count changes between grid points, the
+    switch power is the exact turning-point power of
     ``bistable_window_estimate``.
     """
     powers = [float(p) for p in powers]
@@ -355,8 +394,8 @@ def hysteresis(mp: ModelParams, powers, omega_L: float) -> HysteresisTrace:
         raise ValidationError("powers: grid must be strictly increasing")
 
     E = np.array([drive_amplitude(p, mp.kappa, omega_L) for p in powers])
-    per_power = [tuple(pts) for pts in steady_states_grid(replace(mp, E=E))]
-    counts = [len(pts) for pts in per_power]
+    table = _solve_grid(replace(mp, E=E))
+    counts = table.count.tolist()
 
     # transitions of the root count along the grid -> switch powers
     p_down, p_up = bistable_window_estimate(mp, omega_L) or (None, None)
@@ -367,18 +406,5 @@ def hysteresis(mp: ModelParams, powers, omega_L: float) -> HysteresisTrace:
             switch_down = p_down
         elif a >= 3 > b:
             switch_up = p_up
-
-    # adiabatic following: the up-sweep rides the smallest root until it
-    # ceases to exist (the remaining single root IS the post-jump state),
-    # the down-sweep mirrors it on the largest root
-    up = [pts[0] for pts in per_power]
-    down = [pts[-1] for pts in per_power]
-
-    return HysteresisTrace(
-        powers=tuple(powers),
-        points=tuple(per_power),
-        up=tuple(up),
-        down=tuple(down),
-        switch_up=switch_up,
-        switch_down=switch_down,
-    )
+    return HysteresisTrace(powers=tuple(powers), table=table,
+                           switch_up=switch_up, switch_down=switch_down)

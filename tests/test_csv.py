@@ -1,0 +1,137 @@
+"""CSV emission: the column-block writer against a per-value reference,
+its refusal of text it cannot quote, and the fig2 path that writes from
+the root table without building working points."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from optomech_bistab import steady
+from optomech_bistab.harness import (
+    _BLOCK_ROWS,
+    SweepResult,
+    _default_power_grid,
+    figure_command,
+    write_csv,
+)
+from optomech_bistab.params import laser_frequency
+
+
+def _reference_cell(value) -> str:
+    """One cell, one value at a time: the rule the writer must follow."""
+    if value is None:
+        return "NaN"
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, str):
+        return value
+    value = float(value)
+    if math.isnan(value):
+        return "NaN"
+    return repr(value)
+
+
+def _reference_csv(result: SweepResult, version: str, timestamp: str) -> bytes:
+    lines = [f"# optomech-bistab v{version} {timestamp}"]
+    lines += [f"# {key}={result.meta[key]}" for key in sorted(result.meta)]
+    lines.append(",".join(result.columns))
+    lines += [",".join(_reference_cell(row[col]) for col in result.columns)
+              for row in result.rows]
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+_EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324,
+                -2.225073858507201e-308, 1e16, 1e-5, 1.7976931348623157e308)
+
+_CELLS = {
+    "float": st.floats(allow_subnormal=True) | st.sampled_from(_EDGE_FLOATS),
+    "float64": (st.floats(allow_subnormal=True)
+                | st.sampled_from(_EDGE_FLOATS)).map(np.float64),
+    "int": st.integers(),
+    "none": st.none(),
+    "bool": st.booleans(),
+    "np_bool": st.booleans().map(np.bool_),
+    "str": st.text(st.characters(blacklist_characters=",\n\r",
+                                 blacklist_categories=("Cs",)), max_size=6),
+    "np_str": st.sampled_from(("", "NaN", "nan", "None", "1.0")).map(np.str_),
+}
+
+
+@st.composite
+def _columns(draw, n_rows: int) -> list:
+    """One column of ``n_rows`` values of one or more kinds."""
+    kinds = draw(st.sets(st.sampled_from(sorted(_CELLS)), min_size=1))
+    pool = draw(st.lists(st.one_of(*(_CELLS[k] for k in sorted(kinds))),
+                         min_size=1, max_size=8))
+    rnd = draw(st.randoms(use_true_random=False))
+    return [rnd.choice(pool) for _ in range(n_rows)]
+
+
+@st.composite
+def _results(draw) -> SweepResult:
+    n_rows = draw(st.sampled_from(
+        (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1)))
+    names = tuple(f"c{i}" for i in range(draw(st.integers(1, 4))))
+    columns = [draw(_columns(n_rows)) for _ in names]
+    rows = [dict(zip(names, values)) for values in zip(*columns)]
+    return SweepResult(columns=names, rows=rows, meta={"k": "v"})
+
+
+@settings(max_examples=50, deadline=None)
+@given(_results())
+@example(SweepResult(  # None among bools and among strings, as sweeps write
+    columns=("validity_ok", "status"),
+    rows=[{"validity_ok": ok, "status": status}
+          for ok, status in ((True, "ok"), (None, "unstable"), (False, None))]))
+def test_write_csv_equals_per_value_reference(tmp_path_factory, result):
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    try:
+        expected = _reference_csv(result, "1", "T")
+    except OverflowError:  # an int too large for a float
+        with pytest.raises(OverflowError):
+            write_csv(result, path, "1", timestamp="T")
+        return
+    write_csv(result, path, "1", timestamp="T")
+    assert path.read_bytes() == expected
+
+
+@pytest.mark.parametrize("text", ["a,b", "a\nb", "a\rb", ","])
+def test_write_csv_rejects_text_it_cannot_quote(tmp_path, text):
+    # the bad cell sits in the second block, after a first block is written
+    rows = [{"x": float(i), "label": "ok"} for i in range(_BLOCK_ROWS)]
+    rows.append({"x": 0.5, "label": text})
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="column 'label'"):
+        write_csv(SweepResult(columns=("x", "label"), rows=rows), path, "1")
+    assert not path.exists()
+
+
+def test_figure2_builds_no_working_points(tmp_path, monkeypatch,
+                                          default_physical, default_model):
+    made = []
+    init = steady.WorkingPoint.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(steady.WorkingPoint, "__init__", counting_init)
+    figure_command("fig2", default_physical, tmp_path, grid=300)
+    assert made == []
+
+    omega_L = laser_frequency(default_physical.wavelength)
+    powers = _default_power_grid(default_model, omega_L,
+                                 default_physical.power, 300)
+    trace = steady.hysteresis(default_model, powers, omega_L)
+    assert made == []
+    points = trace.points
+    assert len(made) == len(trace.table.q_s) > len(powers)
+    assert trace.points is points
+    assert trace.up is trace.up and trace.down is trace.down
+    assert len(made) == len(trace.table.q_s)  # the sweeps reuse the points
+    assert any(len(pts) == 3 for pts in points)
+    for pts, up, down in zip(points, trace.up, trace.down):
+        assert up is pts[0] and down is pts[-1]
