@@ -103,10 +103,12 @@ def _cmd_steady(args) -> int:
     physical = _load_physical(args)
     mp = derive_model(physical)
     points = steady.steady_states(mp)
-    columns = ("P_in_W", *harness._POINT_COLUMNS)
-    rows = [{"P_in_W": physical.power, **harness._point_fields(wp, mp)}
-            for wp in points]
-    result = harness.SweepResult(columns=columns, rows=rows, meta={
+    columns = {"P_in_W": [physical.power] * len(points),
+               **{name: [] for name in harness._POINT_COLUMNS}}
+    for wp in points:
+        for name, value in harness._point_fields(wp, mp).items():
+            columns[name].append(value)
+    result = harness.SweepResult(columns, meta={
         "kappa_over_wm": repr(mp.kappa / mp.omega_m),
         "nbar": repr(mp.nbar),
     })
@@ -132,7 +134,7 @@ def _cmd_sweep(args) -> int:
         branch=args.branch, validity_threshold=args.validity_threshold)
     result = harness.sweep(spec)
     path = harness.write_csv(result, args.out / "sweep.csv", __version__)
-    print(f"wrote {path} ({len(result.rows)} rows)")
+    print(f"wrote {path} ({len(result.columns['status'])} rows)")
     return EXIT_OK
 
 

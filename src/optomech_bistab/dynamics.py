@@ -37,10 +37,17 @@ if TYPE_CHECKING:  # pragma: no cover
 # decay rates slower than this fraction of omega_m are treated as marginal
 MARGINAL_DECAY_FRACTION = 1e-8
 
-# relative residual bound of the direct Lyapunov solve, floored at the
-# smallest normal float: for a subnormal max|D| the product underflows to 0
+# residual bound of the direct Lyapunov solve, c * eps * max|A| * max|V|:
+# the round-off of A V + V A^T, which grows with V as the decay rate -> 0.
+# Floored at the smallest normal float, as the product underflows to 0
+# for subnormal inputs.
+LYAPUNOV_RESIDUAL_C = 64
+_EPS, _RESIDUAL_FLOOR = np.finfo(float).eps, np.finfo(float).tiny
+
+# a residual bound relative to max|D|, which the solve does not use: the
+# round-off outgrows it as eta -> 0. Sweep rows at eta >= 1e-3 still meet
+# it, and the tests hold them to it.
 LYAPUNOV_RESIDUAL_RTOL = 1e-9
-_RESIDUAL_FLOOR = np.finfo(float).tiny
 
 # packed unknowns: the upper triangle of V, row by row
 _I, _J = np.array([(i, j) for i in range(4) for j in range(i, 4)]).T
@@ -118,8 +125,13 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     system with matrix ``_MAP @ A.ravel()``. Raises UnstableSystemError
     (naming the offending eigenvalue) if A is not Hurwitz, and
     IllConditionedError if an eigenvalue pair nearly sums to zero or the
-    residual contract max|A V + V A^T + D| <= max(1e-9 * max|D|, tiny)
-    cannot be met, tiny being the smallest normal float.
+    residual contract max|A V + V A^T + D| <= max(c * eps * max|A| *
+    max|V|, tiny) cannot be met: c = 64, eps the machine epsilon and tiny
+    the smallest normal float. The bound is the backward-error scale of
+    the solve (Higham, BIT 33, 1993): over 20,000 drift matrices of the
+    default model with kappa and Delta in [0.05, 3] and [0.02, 3] omega_m
+    and eta log-uniform in [1e-8, 1] the residual stays below 2.5 * eps *
+    max|A| * max|V|.
     """
     eig = np.linalg.eigvals(A)
     worst = eig[np.argmax(eig.real)]
@@ -136,8 +148,9 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     V = x[_PACKED]
 
     residual = np.abs(A @ V + V @ A.T + D).max()
-    bound = max(LYAPUNOV_RESIDUAL_RTOL * np.abs(D).max(), _RESIDUAL_FLOOR)
-    if residual > bound:
+    bound = max(LYAPUNOV_RESIDUAL_C * _EPS * np.abs(A).max()
+                * np.abs(V).max(), _RESIDUAL_FLOOR)
+    if not residual <= bound:
         raise IllConditionedError(
             f"Lyapunov residual {residual:.3e} exceeds {bound:.3e}")
     return V

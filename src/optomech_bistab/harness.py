@@ -16,7 +16,7 @@ from __future__ import annotations
 import datetime
 import math
 from dataclasses import dataclass, field, replace
-from itertools import tee
+from itertools import product, tee
 from pathlib import Path
 
 import numpy as np
@@ -104,8 +104,10 @@ class SweepSpec:
 
 @dataclass
 class SweepResult:
-    columns: tuple[str, ...]
-    rows: list[dict]
+    """A CSV table: ``columns`` maps each column name, in CSV order, to the
+    list of its values, one per row; ``meta`` holds the ``#`` lines."""
+
+    columns: dict[str, list]
     meta: dict = field(default_factory=dict)
 
 
@@ -233,28 +235,6 @@ def _select_branch(points: list[steady.WorkingPoint],
     return [points[0], points[-1]]
 
 
-def _cell_rows(spec: SweepSpec, values: dict[str, float], mp: ModelParams,
-               selected: list[steady.WorkingPoint]) -> list[dict]:
-    axis_cols = {}
-    for name, value in values.items():
-        col = _AXIS_COLUMN[name]
-        if name in RATE_AXES:
-            axis_cols[col] = value / spec.base.omega_m
-        else:
-            axis_cols[col] = value
-
-    rows = []
-    for wp in selected:
-        try:
-            row = evaluate_point(wp, mp, spec.validity_threshold)
-        except Exception as exc:  # failures are data, not aborts
-            row = {**_point_fields(wp, mp),
-                   **dict.fromkeys(_COVARIANCE_COLUMNS),
-                   "status": f"{STATUS_ERROR}:{type(exc).__name__}"}
-        rows.append({**axis_cols, **row})
-    return rows
-
-
 def _synthetic_point(mp: ModelParams,
                      values: dict[str, float]) -> steady.WorkingPoint:
     delta = values.get("effective_detuning", mp.delta0)
@@ -287,28 +267,30 @@ def _cell_points(spec: SweepSpec, cells: list[dict[str, float]]
             for mp, points in zip(models, steady.steady_states_grid(stacked))]
 
 
-def sweep_columns(spec: SweepSpec) -> tuple[str, ...]:
-    axes = (spec.axis1,) if spec.axis2 is None else (spec.axis2, spec.axis1)
-    return (*(_AXIS_COLUMN[axis.name] for axis in axes), *_ROW_COLUMNS)
-
-
 def sweep(spec: SweepSpec) -> SweepResult:
     """Run the pipeline over the grid; row order is axis2-major, then
     axis1, then branch. Deterministic for a given spec."""
     validate_spec(spec)
-    axis2_values = spec.axis2.values if spec.axis2 is not None else (None,)
+    axes = (spec.axis1,) if spec.axis2 is None else (spec.axis2, spec.axis1)
+    names = [axis.name for axis in axes]
+    cells = [dict(zip(names, values))
+             for values in product(*(axis.values for axis in axes))]
+    columns = {column: [] for column in
+               (*(_AXIS_COLUMN[name] for name in names), *_ROW_COLUMNS)}
 
-    cells = []
-    for v2 in axis2_values:
-        for v1 in spec.axis1.values:
-            values = {spec.axis1.name: v1}
-            if spec.axis2 is not None:
-                values[spec.axis2.name] = v2
-            cells.append(values)
-
-    rows = [row
-            for values, (mp, selected) in zip(cells, _cell_points(spec, cells))
-            for row in _cell_rows(spec, values, mp, selected)]
+    for values, (mp, selected) in zip(cells, _cell_points(spec, cells)):
+        for wp in selected:
+            try:
+                row = evaluate_point(wp, mp, spec.validity_threshold)
+            except Exception as exc:  # failures are data, not aborts
+                row = {**_point_fields(wp, mp),
+                       **dict.fromkeys(_COVARIANCE_COLUMNS),
+                       "status": f"{STATUS_ERROR}:{type(exc).__name__}"}
+            for name, value in values.items():
+                columns[_AXIS_COLUMN[name]].append(
+                    value / spec.base.omega_m if name in RATE_AXES else value)
+            for name in _ROW_COLUMNS:
+                columns[name].append(row[name])
 
     meta = {
         "axis1": f"{spec.axis1.name}[{len(spec.axis1.values)}]",
@@ -322,12 +304,10 @@ def sweep(spec: SweepSpec) -> SweepResult:
     # a temperature axis sets nbar per row, and its T_K column carries it
     if "temperature" not in cells[0]:
         meta["nbar"] = repr(spec.base.nbar)
-    return SweepResult(columns=sweep_columns(spec), rows=rows, meta=meta)
+    return SweepResult(columns, meta)
 
 
-# rows formatted and written per block; cell text of None and the bools,
-# and the fix-up of repr's None and NaN
-_BLOCK_ROWS = 128
+# cell text of None and the bools, and the fix-up of repr's None and NaN
 _WORDS = {None: "NaN", True: "1", False: "0"}
 _NAN_TEXT = {"None": "NaN", "nan": "NaN"}
 
@@ -335,7 +315,7 @@ _NAN_TEXT = {"None": "NaN", "nan": "NaN"}
 def _column_cells(name: str, values: list):
     """CSV cells of one column: strings verbatim, bools as 1/0, None and
     NaN as NaN, any other value as repr(float(value)). Float cells come
-    lazily, so that a block holds no more than a row of them at once."""
+    lazily, so that the writer holds no more than a row of them at once."""
     kinds = set(map(type, values))
     if not kinds <= {float, str, bool, type(None)}:
         values = [v if v is None or isinstance(v, bool) else str.__str__(v)
@@ -359,27 +339,24 @@ def write_csv(result: SweepResult, path, version: str,
               timestamp: str | None = None) -> Path:
     """Write a sweep result; only the first (timestamp) line varies
     between identical runs. Cells are not quoted: a string cell holding a
-    comma or a line break raises ValueError naming its column."""
+    comma or a line break raises ValueError naming its column, as do
+    columns of unequal length. A rejected result touches no file."""
     path = Path(path)
     if timestamp is None:
         timestamp = datetime.datetime.now(datetime.timezone.utc) \
             .strftime("%Y-%m-%dT%H:%M:%SZ")
+    lengths = {name: len(values) for name, values in result.columns.items()}
+    if len(set(lengths.values())) > 1:
+        raise ValueError(f"write_csv: columns of unequal length {lengths}")
+    cells = [_column_cells(name, values)
+             for name, values in result.columns.items()]
     head = [f"# optomech-bistab v{version} {timestamp}"]
     head += [f"# {key}={result.meta[key]}" for key in sorted(result.meta)]
     head.append(",".join(result.columns))
     path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        with path.open("w", encoding="utf-8") as f:
-            f.write("\n".join(head) + "\n")
-            for start in range(0, len(result.rows), _BLOCK_ROWS):
-                block = result.rows[start:start + _BLOCK_ROWS]
-                cells = [_column_cells(col, [row[col] for row in block])
-                         for col in result.columns]
-                f.write("".join(",".join(line) + "\n"
-                                for line in zip(*cells)))
-    except ValueError:
-        path.unlink()  # no partial file
-        raise
+    with path.open("w", encoding="utf-8") as f:
+        f.write("\n".join(head) + "\n")
+        f.writelines(",".join(line) + "\n" for line in zip(*cells))
     return path
 
 
@@ -402,15 +379,14 @@ def _hysteresis_rows(trace: steady.HysteresisTrace,
               **_point_fields(t, mp),
               "on_up_sweep": index == end - t.count[t.model],
               "on_down_sweep": index == end - 1}
-    values = [v.tolist() if isinstance(v, np.ndarray) else v
-              for v in fields.values()]
-    rows = [dict(zip(fields, row)) for row in zip(*values)]
+    columns = {name: v.tolist() if isinstance(v, np.ndarray) else v
+               for name, v in fields.items()}
     meta = {
         "switch_up_W": "NaN" if trace.switch_up is None else repr(trace.switch_up),
         "switch_down_W": "NaN" if trace.switch_down is None else repr(trace.switch_down),
         "kappa_over_wm": repr(mp.kappa / mp.omega_m),
     }
-    return SweepResult(columns=tuple(fields), rows=rows, meta=meta)
+    return SweepResult(columns, meta)
 
 
 def _default_power_grid(mp: ModelParams, omega_L: float, fallback: float,

@@ -219,7 +219,9 @@ def test_criterion_08_non_monotonicity_witness():
                                                       0.9995 * g_boundary,
                                                       150))))
     result = sweep(spec)
-    rows = [r for r in result.rows if r["status"] == "ok"]
+    rows = [r for r in (dict(zip(result.columns, row))
+                        for row in zip(*result.columns.values()))
+            if r["status"] == "ok"]
     witness = None
     for first, second in zip(rows, rows[1:]):
         g1, g2 = first["G_over_wm"], second["G_over_wm"]

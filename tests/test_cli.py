@@ -1,7 +1,12 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import optomech_bistab
 from optomech_bistab import __version__, harness
 from optomech_bistab.cli import main
 
@@ -122,6 +127,20 @@ def test_figure_command_runs(tmp_path, config_file):
                  "--out", str(tmp_path / "out"), "--grid", "40"])
     assert code == 0
     assert (tmp_path / "out" / "fig2.csv").exists()
+
+
+def test_reproduce_figures_script_writes_every_panel(tmp_path):
+    src = Path(optomech_bistab.__file__).resolve().parents[1]
+    script = Path(__file__).resolve().parents[1] / "scripts" \
+        / "reproduce_figures.py"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, str(script), "--grid", "3",
+                          "--out", str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        sorted(f"{fig_id}.csv" for fig_id in harness.FIGURE_IDS)
 
 
 def test_figure_rejects_unknown_id(tmp_path, config_file):

@@ -1,5 +1,5 @@
-"""CSV emission: the column-block writer against a per-value reference,
-its refusal of text it cannot quote, and the fig2 path that writes from
+"""CSV emission: the column writer against a per-value reference, its
+refusal of results it cannot write, and the fig2 path that writes from
 the root table without building working points."""
 
 import math
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from optomech_bistab import steady
 from optomech_bistab.harness import (
-    _BLOCK_ROWS,
     SweepResult,
     _default_power_grid,
     figure_command,
@@ -38,8 +37,8 @@ def _reference_csv(result: SweepResult, version: str, timestamp: str) -> bytes:
     lines = [f"# optomech-bistab v{version} {timestamp}"]
     lines += [f"# {key}={result.meta[key]}" for key in sorted(result.meta)]
     lines.append(",".join(result.columns))
-    lines += [",".join(_reference_cell(row[col]) for col in result.columns)
-              for row in result.rows]
+    lines += [",".join(map(_reference_cell, row))
+              for row in zip(*result.columns.values())]
     return ("\n".join(lines) + "\n").encode("utf-8")
 
 
@@ -72,20 +71,17 @@ def _columns(draw, n_rows: int) -> list:
 
 @st.composite
 def _results(draw) -> SweepResult:
-    n_rows = draw(st.sampled_from(
-        (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1)))
+    n_rows = draw(st.sampled_from((0, 1, 2, 129)))
     names = tuple(f"c{i}" for i in range(draw(st.integers(1, 4))))
-    columns = [draw(_columns(n_rows)) for _ in names]
-    rows = [dict(zip(names, values)) for values in zip(*columns)]
-    return SweepResult(columns=names, rows=rows, meta={"k": "v"})
+    columns = {name: draw(_columns(n_rows)) for name in names}
+    return SweepResult(columns, meta={"k": "v"})
 
 
 @settings(max_examples=50, deadline=None)
 @given(_results())
 @example(SweepResult(  # None among bools and among strings, as sweeps write
-    columns=("validity_ok", "status"),
-    rows=[{"validity_ok": ok, "status": status}
-          for ok, status in ((True, "ok"), (None, "unstable"), (False, None))]))
+    columns={"validity_ok": [True, None, False],
+             "status": ["ok", "unstable", None]}))
 def test_write_csv_equals_per_value_reference(tmp_path_factory, result):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     try:
@@ -100,13 +96,39 @@ def test_write_csv_equals_per_value_reference(tmp_path_factory, result):
 
 @pytest.mark.parametrize("text", ["a,b", "a\nb", "a\rb", ","])
 def test_write_csv_rejects_text_it_cannot_quote(tmp_path, text):
-    # the bad cell sits in the second block, after a first block is written
-    rows = [{"x": float(i), "label": "ok"} for i in range(_BLOCK_ROWS)]
-    rows.append({"x": 0.5, "label": text})
+    # the bad cell is the last of many: a writer that checked each row
+    # as it wrote it would leave a partial file
+    columns = {"x": [float(i) for i in range(129)],
+               "label": ["ok"] * 128 + [text]}
     path = tmp_path / "bad.csv"
     with pytest.raises(ValueError, match="column 'label'"):
-        write_csv(SweepResult(columns=("x", "label"), rows=rows), path, "1")
+        write_csv(SweepResult(columns), path, "1")
     assert not path.exists()
+
+
+# results write_csv must reject: a short column, a cell it cannot quote
+_MALFORMED = {
+    "ragged": {"x": [float(i) for i in range(200)], "label": ["ok"] * 199},
+    "unquotable": {"x": [float(i) for i in range(200)],
+                   "label": ["ok"] * 199 + ["a,b"]},
+}
+
+
+def test_write_csv_rejects_ragged_columns(tmp_path):
+    path = tmp_path / "new" / "t.csv"
+    with pytest.raises(ValueError, match="unequal length"):
+        write_csv(SweepResult(_MALFORMED["ragged"]), path, "1")
+    assert not path.parent.exists()
+
+
+@pytest.mark.parametrize("kind", sorted(_MALFORMED))
+def test_rejected_write_leaves_existing_file_unchanged(tmp_path, kind):
+    path = tmp_path / "t.csv"
+    write_csv(SweepResult({"x": [1.0, 2.0]}), path, "1", timestamp="T")
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="write_csv"):
+        write_csv(SweepResult(_MALFORMED[kind]), path, "1")
+    assert path.read_bytes() == before
 
 
 def test_figure2_builds_no_working_points(tmp_path, monkeypatch,

@@ -228,6 +228,26 @@ def test_lyapunov_equals_basis_assembly_bit_for_bit(problem):
     assert log_negativity(V, slack=math.inf).sigma == sigma
 
 
+@pytest.mark.parametrize("eta", [10.0 ** -k for k in range(1, 9)])
+def test_lyapunov_rejects_a_solution_off_in_one_entry(monkeypatch,
+                                                      default_model, eta):
+    mp = default_model
+    wp = steady.working_point_from_eta(mp, eta, mp.omega_m)
+    A, D = drift_matrix(wp, mp), diffusion_matrix(mp)
+    solve_lyapunov(A, D)  # the unperturbed solve meets the bound
+    solve = np.linalg.solve
+    for entry in range(10):  # packed entries of V
+
+        def off_in_one_entry(M, b):
+            x = solve(M, b)
+            x[entry] += 1e-6 * np.abs(x).max()
+            return x
+
+        monkeypatch.setattr(np.linalg, "solve", off_in_one_entry)
+        with pytest.raises(IllConditionedError, match="residual"):
+            solve_lyapunov(A, D)
+
+
 def test_lyapunov_rejects_unstable():
     A = drift_from_rates(1.0, 5.0, 0.2, 1.0, 1e-5)  # far beyond the boundary
     assert not is_stable_spectral(A)

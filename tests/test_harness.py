@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from optomech_bistab import __version__
 from optomech_bistab.dynamics import (
+    LYAPUNOV_RESIDUAL_C,
     LYAPUNOV_RESIDUAL_RTOL,
     diffusion_matrix,
     drift_matrix,
@@ -16,6 +17,7 @@ from optomech_bistab.dynamics import (
 )
 from optomech_bistab.errors import ValidationError
 from optomech_bistab.harness import (
+    SAME_SWEEP_AS,
     AxisSpec,
     SweepSpec,
     bistable_window_estimate,
@@ -39,6 +41,12 @@ from optomech_bistab.steady import steady_states, working_point_from_eta
 def _model(kappa=1.4, delta0=1.0, gamma=1e-5, nbar=0.0):
     return ModelParams(kappa=kappa, G0=1e-5, E=0.0, delta0=delta0,
                        omega_m=1.0, gamma_m=gamma, nbar=nbar)
+
+
+def _rows(result):
+    """The rows of a sweep result, each a dict of column name -> value."""
+    return [dict(zip(result.columns, row))
+            for row in zip(*result.columns.values())]
 
 
 # --- validation ------------------------------------------------------------------
@@ -110,8 +118,8 @@ def test_single_point_sweep_decoupled(default_model, default_physical):
     spec = SweepSpec(base=default_model, physical=default_physical,
                      axis1=AxisSpec("power", (0.0,)), branch="both")
     result = sweep(spec)
-    assert len(result.rows) == 1
-    row = result.rows[0]
+    assert len(_rows(result)) == 1
+    row = _rows(result)[0]
     assert row["E_N"] == 0.0
     assert row["n_o"] == pytest.approx(0.0, abs=1e-9)
     assert row["status"] == "ok"
@@ -145,7 +153,7 @@ def test_row_order_axis2_major():
                      axis2=AxisSpec("effective_detuning", (0.8, 1.6)))
     result = sweep(spec)
     pairs = [(row["Delta_target_over_wm"], row["eta_target"])
-             for row in result.rows]
+             for row in _rows(result)]
     assert pairs == [(0.8, 0.2), (0.8, 0.4), (0.8, 0.6),
                      (1.6, 0.2), (1.6, 0.4), (1.6, 0.6)]
 
@@ -196,7 +204,7 @@ def test_eta_delta_sweep_reproduces_three_bands(default_model):
     result = sweep(spec)
 
     def ens_at(delta):
-        return [r["E_N"] for r in result.rows
+        return [r["E_N"] for r in _rows(result)
                 if r["Delta_target_over_wm"] == pytest.approx(delta)
                 and r["status"] == "ok"]
 
@@ -241,9 +249,9 @@ def test_every_ok_row_is_physical(kappa_over_wm, nbar, etas, deltas_over_wm):
         base=mp, axis1=AxisSpec("eta", tuple(etas)),
         axis2=AxisSpec("effective_detuning", tuple(deltas))))
     cells = [(eta, delta) for delta in deltas for eta in etas]
-    assert len(result.rows) == len(cells)
+    assert len(_rows(result)) == len(cells)
     D = diffusion_matrix(mp)
-    for row, (eta, delta) in zip(result.rows, cells):
+    for row, (eta, delta) in zip(_rows(result), cells):
         if row["status"] != "ok":
             continue
         A = drift_matrix(working_point_from_eta(mp, eta, delta), mp)
@@ -253,6 +261,37 @@ def test_every_ok_row_is_physical(kappa_over_wm, nbar, etas, deltas_over_wm):
         assert symplectic_eigenvalues(V).min() >= 0.5 - 1e-9
         residual = np.abs(A @ V + V @ A.T + D).max()
         assert residual <= LYAPUNOV_RESIDUAL_RTOL * np.abs(D).max()
+
+
+@given(kappa_over_wm=st.floats(0.05, 3.0), nbar=st.floats(0.0, 1e4),
+       log_etas=_axis(-8.0, -5.0), deltas_over_wm=_axis(0.02, 3.0))
+@settings(max_examples=60, deadline=None)
+def test_every_ok_row_below_eta_1e3_is_physical(kappa_over_wm, nbar, log_etas,
+                                                deltas_over_wm):
+    # as V grows like 1/eta, the residual bound grows with max|V|
+    w = _DEFAULT_MODEL.omega_m
+    mp = replace(_DEFAULT_MODEL, kappa=kappa_over_wm * w, nbar=nbar)
+    etas = [10.0 ** x for x in log_etas]
+    deltas = [d * w for d in deltas_over_wm]
+    assume(len(set(etas)) == len(etas) and len(set(deltas)) == len(deltas))
+    result = sweep(SweepSpec(
+        base=mp, axis1=AxisSpec("eta", tuple(etas)),
+        axis2=AxisSpec("effective_detuning", tuple(deltas))))
+    cells = [(eta, delta) for delta in deltas for eta in etas]
+    assert len(_rows(result)) == len(cells)
+    D = diffusion_matrix(mp)
+    eps = np.finfo(float).eps
+    for row, (eta, delta) in zip(_rows(result), cells):
+        if row["status"] != "ok":
+            continue
+        A = drift_matrix(working_point_from_eta(mp, eta, delta), mp)
+        V = solve_lyapunov(A, D)
+        assert row["detV"] == float(np.linalg.det(V))
+        assert row["E_N"] >= 0.0
+        assert symplectic_eigenvalues(V).min() >= 0.5 - 1e-9
+        residual = np.abs(A @ V + V @ A.T + D).max()
+        bound = LYAPUNOV_RESIDUAL_C * eps * np.abs(A).max() * np.abs(V).max()
+        assert residual <= bound
 
 
 def test_coupling_surface_decreases_with_detuning(default_model):
@@ -266,7 +305,7 @@ def test_coupling_surface_decreases_with_detuning(default_model):
                                     tuple(np.linspace(0.05, 1.4, 15))))
     result = sweep(spec)
     for eta in (0.2, 0.5, 0.8):
-        gs = [r["G_over_wm"] for r in result.rows
+        gs = [r["G_over_wm"] for r in _rows(result)
               if r["eta_target"] == pytest.approx(eta)]
         assert np.all(np.diff(gs) < 0)
         g_band1 = np.interp(0.05, np.linspace(0.05, 1.4, 15), gs)
@@ -300,7 +339,7 @@ def test_power_sweep_entanglement_peaks_at_branch_ends(
         return sweep(spec)
 
     coarse = run(60)
-    powers, ens = _branch_argmax(coarse.rows, "lower")
+    powers, ens = _branch_argmax(_rows(coarse), "lower")
     # lower branch: E_N grows toward the switch-up point
     idx = int(np.argmax(ens))
     assert idx == len(ens) - 1
@@ -308,7 +347,7 @@ def test_power_sweep_entanglement_peaks_at_branch_ends(
 
     # upper branch: entanglement lives near the switch-down point and is
     # maximal at the end of the branch
-    upper = [(r["P_in_W"], r["E_N"]) for r in coarse.rows
+    upper = [(r["P_in_W"], r["E_N"]) for r in _rows(coarse)
              if r["branch"] == "upper" and r["status"] == "ok"]
     if upper:
         powers_u = [p for p, _ in upper]
@@ -317,7 +356,7 @@ def test_power_sweep_entanglement_peaks_at_branch_ends(
 
     # argmax location stable under 4x refinement
     fine = run(240)
-    powers_f, ens_f = _branch_argmax(fine.rows, "lower")
+    powers_f, ens_f = _branch_argmax(_rows(fine), "lower")
     coarse_cell = powers[1] - powers[0]
     assert abs(powers_f[int(np.argmax(ens_f))] - powers[idx]) <= coarse_cell
 
@@ -428,6 +467,16 @@ def test_temperature_sweep_writes_no_nbar(tmp_path, default_physical):
     fig4 = figure_command("fig4", default_physical, tmp_path, grid=3,
                           version=__version__, timestamp="T")[0]
     assert f"# nbar={derive_model(default_physical).nbar!r}" in _csv(fig4)[0]
+
+
+@pytest.mark.parametrize("fig_id", sorted(SAME_SWEEP_AS))
+def test_paired_panels_write_identical_bodies(tmp_path, default_physical,
+                                              fig_id):
+    first, second = (
+        figure_command(panel, default_physical, tmp_path, grid=5,
+                       version=__version__)[0].read_text().splitlines()[1:]
+        for panel in (SAME_SWEEP_AS[fig_id], fig_id))
+    assert first == second
 
 
 def test_figure_unknown_id(tmp_path, default_physical):
