@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 from .dynamics import (
     diffusion_matrix,
     drift_from_rates,
-    drift_matrix,
     integrate_lyapunov,
     is_stable_rh,
     is_stable_spectral,
@@ -33,7 +32,6 @@ from .params import (
     default_params,
     derive_model,
     load_config,
-    normalize,
     thermal_phonons,
 )
 from .quantum import (
@@ -69,8 +67,8 @@ __all__ = [
     "IntegrationError",
     "ModelParams",
     "OutOfRegimeError",
-    "PhysicalityError",
     "PhysicalParams",
+    "PhysicalityError",
     "SweepResult",
     "SweepSpec",
     "UnstableSystemError",
@@ -86,7 +84,6 @@ __all__ = [
     "derive_model",
     "diffusion_matrix",
     "drift_from_rates",
-    "drift_matrix",
     "figure_command",
     "hysteresis",
     "integrate_lyapunov",
@@ -95,7 +92,6 @@ __all__ = [
     "load_config",
     "log_negativity",
     "max_entanglement",
-    "normalize",
     "occupancies",
     "optimal_cooling_detuning",
     "optimal_entanglement_detuning",

@@ -32,7 +32,6 @@ from .errors import (
 
 if TYPE_CHECKING:  # pragma: no cover
     from .params import ModelParams
-    from .steady import WorkingPoint
 
 # decay rates slower than this fraction of omega_m are treated as marginal
 MARGINAL_DECAY_FRACTION = 1e-8
@@ -43,11 +42,6 @@ MARGINAL_DECAY_FRACTION = 1e-8
 # for subnormal inputs.
 LYAPUNOV_RESIDUAL_C = 64
 _EPS, _RESIDUAL_FLOOR = np.finfo(float).eps, np.finfo(float).tiny
-
-# a residual bound relative to max|D|, which the solve does not use: the
-# round-off outgrows it as eta -> 0. Sweep rows at eta >= 1e-3 still meet
-# it, and the tests hold them to it.
-LYAPUNOV_RESIDUAL_RTOL = 1e-9
 
 # packed unknowns: the upper triangle of V, row by row
 _I, _J = np.array([(i, j) for i in range(4) for j in range(i, 4)]).T
@@ -80,11 +74,6 @@ def drift_from_rates(delta: float, G: float, kappa: float,
         [G, zero, -delta, -kappa],
     ])
     return A if A.ndim == 2 else A.transpose(2, 0, 1)
-
-
-def drift_matrix(wp: "WorkingPoint", mp: "ModelParams") -> np.ndarray:
-    """Drift matrix for a solved working point."""
-    return drift_from_rates(wp.delta, wp.G, mp.kappa, mp.omega_m, mp.gamma_m)
 
 
 def diffusion_matrix(mp: "ModelParams") -> np.ndarray:
@@ -157,11 +146,11 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
 
 
 def integrate_lyapunov(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
-                       t_final: float, tol: float = 1e-10) -> np.ndarray:
+                       t_final: float) -> np.ndarray:
     """V(t_final) of dV/dt = A V + V A^T + D from V(0) = V0.
 
     scipy's DOP853 stepper (the 8(5,3) pair of Hairer, Norsett & Wanner)
-    on the 16 entries of V, with ``tol`` as both absolute and relative
+    on the 16 entries of V, with 1e-10 as both absolute and relative
     local tolerance; V is symmetrized once, at the end. Raises
     IntegrationError when a step falls below the floor 1e-14 * t_final.
     """
@@ -178,7 +167,7 @@ def integrate_lyapunov(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
         return (A @ M + M @ A.T + D).ravel()
 
     solver = DOP853(rhs, 0.0, (0.5 * (V0 + V0.T)).ravel(), t_final,
-                    rtol=tol, atol=tol)
+                    rtol=1e-10, atol=1e-10)
     h_min = 1e-14 * t_final
     while solver.status == "running":
         solver.step()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import datetime
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from itertools import product, tee
 from pathlib import Path
@@ -31,28 +32,29 @@ from .params import (
 )
 from .steady import bistable_window_estimate
 
-EXPERIMENTAL_AXES = ("power", "bare_detuning", "temperature")
-THEORETICAL_AXES = ("effective_detuning", "eta", "coupling")
-AXIS_NAMES = EXPERIMENTAL_AXES + THEORETICAL_AXES
+# One sweep axis: its CSV column; the PhysicalParams field it sets, for
+# an experimental axis, or None for a theoretical one; whether it holds an
+# angular rate (rad/s in an AxisSpec, omega_m on the command line, in CSV
+# columns and in validation messages); its range (lower bound, inclusive,
+# upper bound), None for no bound.
+_Axis = namedtuple("_Axis", "column field rate range")
 
-# axes holding angular rates: rad/s in an AxisSpec, omega_m on the command
-# line, in CSV columns and in validation messages
-RATE_AXES = ("bare_detuning", "effective_detuning", "coupling")
-
-BRANCH_CHOICES = ("lower", "upper", "both", "all")
-
-_AXIS_COLUMN = {
-    "power": "P_in_W",
-    "bare_detuning": "Delta0_over_wm",
-    "temperature": "T_K",
-    "effective_detuning": "Delta_target_over_wm",
-    "eta": "eta_target",
-    "coupling": "G_target_over_wm",
+_AXES = {
+    "power": _Axis("P_in_W", "power", False, (0.0, True, None)),
+    "bare_detuning": _Axis("Delta0_over_wm", "delta0", True, (None, True, None)),
+    "temperature": _Axis("T_K", "temperature", False, (0.0, True, None)),
+    "effective_detuning": _Axis("Delta_target_over_wm", None, True,
+                                (0.0, False, None)),
+    "eta": _Axis("eta_target", None, False, (None, True, 1.0)),
+    "coupling": _Axis("G_target_over_wm", None, True, (0.0, True, None)),
 }
 
-# PhysicalParams field set by each experimental axis
-_AXIS_FIELD = {"power": "power", "bare_detuning": "delta0",
-               "temperature": "temperature"}
+AXIS_NAMES = tuple(_AXES)
+EXPERIMENTAL_AXES = tuple(n for n, a in _AXES.items() if a.field is not None)
+THEORETICAL_AXES = tuple(n for n, a in _AXES.items() if a.field is None)
+RATE_AXES = tuple(n for n, a in _AXES.items() if a.rate)
+
+BRANCH_CHOICES = ("lower", "upper", "both", "all")
 
 # steady-state fields every row carries, in CSV column order
 _POINT_COLUMNS = ("branch", "q_s", "photons", "Delta_over_wm", "G_over_wm",
@@ -111,16 +113,6 @@ class SweepResult:
     meta: dict = field(default_factory=dict)
 
 
-_AXIS_RANGE = {
-    # name: (lower bound, inclusive, upper bound or None)
-    "power": (0.0, True, None),
-    "temperature": (0.0, True, None),
-    "effective_detuning": (0.0, False, None),
-    "coupling": (0.0, True, None),
-    "eta": (None, True, 1.0),
-}
-
-
 def _check_axis(axis: AxisSpec, omega_m: float) -> None:
     if axis.name not in AXIS_NAMES:
         raise ValidationError(
@@ -134,12 +126,11 @@ def _check_axis(axis: AxisSpec, omega_m: float) -> None:
         if not (all(d > 0 for d in diffs) or all(d < 0 for d in diffs)):
             raise ValidationError(
                 f"axis {axis.name}: grid must be strictly monotone")
-    lo, lo_incl, hi = _AXIS_RANGE.get(axis.name, (None, True, None))
+    _, _, rate, (lo, lo_incl, hi) = _AXES[axis.name]
     for v in axis.values:
         if (lo is not None and (v < lo or (not lo_incl and v == lo))) or \
                 (hi is not None and v > hi):
-            shown = f"{v / omega_m!r} omega_m" if axis.name in RATE_AXES \
-                else f"{v}"
+            shown = f"{v / omega_m!r} omega_m" if rate else f"{v}"
             raise ValidationError(
                 f"axis {axis.name}: value {shown} out of range")
 
@@ -244,7 +235,7 @@ def _synthetic_point(mp: ModelParams,
 
 
 def _cell_model(p: PhysicalParams, values: dict[str, float]) -> ModelParams:
-    return derive_model(replace(p, **{_AXIS_FIELD[name]: value
+    return derive_model(replace(p, **{_AXES[name].field: value
                                       for name, value in values.items()}))
 
 
@@ -276,7 +267,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
     cells = [dict(zip(names, values))
              for values in product(*(axis.values for axis in axes))]
     columns = {column: [] for column in
-               (*(_AXIS_COLUMN[name] for name in names), *_ROW_COLUMNS)}
+               (*(_AXES[name].column for name in names), *_ROW_COLUMNS)}
 
     for values, (mp, selected) in zip(cells, _cell_points(spec, cells)):
         for wp in selected:
@@ -287,8 +278,9 @@ def sweep(spec: SweepSpec) -> SweepResult:
                        **dict.fromkeys(_COVARIANCE_COLUMNS),
                        "status": f"{STATUS_ERROR}:{type(exc).__name__}"}
             for name, value in values.items():
-                columns[_AXIS_COLUMN[name]].append(
-                    value / spec.base.omega_m if name in RATE_AXES else value)
+                column, _, rate, _ = _AXES[name]
+                columns[column].append(
+                    value / spec.base.omega_m if rate else value)
             for name in _ROW_COLUMNS:
                 columns[name].append(row[name])
 

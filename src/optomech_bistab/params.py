@@ -165,22 +165,6 @@ def derive_model(p: PhysicalParams) -> ModelParams:
     )
 
 
-def normalize(mp: ModelParams) -> ModelParams:
-    """Divide every rate by omega_m so that omega_m = 1 internally."""
-    if not mp.omega_m > 0:
-        raise ValidationError("omega_m: must be strictly positive")
-    w = mp.omega_m
-    return ModelParams(
-        kappa=mp.kappa / w,
-        G0=mp.G0 / w,
-        E=mp.E / w,
-        delta0=mp.delta0 / w,
-        omega_m=1.0,
-        gamma_m=mp.gamma_m / w,
-        nbar=mp.nbar,
-    )
-
-
 def default_params() -> PhysicalParams:
     """Reference parameter set of the bundled config.
 

@@ -163,17 +163,16 @@ def asymptotic_coeffs(delta: float, kappa: float,
     return AsymptoticCoeffs(a=a, b=b, c=c, d=d, alpha=alpha, beta=beta)
 
 
-def classify_regime(coeffs: AsymptoticCoeffs,
-                    tie_tol: float = REGIME_TIE_TOL) -> int:
+def classify_regime(coeffs: AsymptoticCoeffs) -> int:
     """Regime label from the signs of (alpha, beta).
 
     1: alpha < 0, beta < 0 (no entanglement near the branch end);
     2: alpha < 0 < beta, or both positive (interior maximum in eta);
     3: alpha > 0 > beta (maximum exactly at the branch end);
-    0: tie, |alpha| or |beta| below ``tie_tol``.
+    0: tie, |alpha| or |beta| at most ``REGIME_TIE_TOL``.
     """
     alpha, beta = coeffs.alpha, coeffs.beta
-    if abs(alpha) <= tie_tol or abs(beta) <= tie_tol:
+    if abs(alpha) <= REGIME_TIE_TOL or abs(beta) <= REGIME_TIE_TOL:
         return REGIME_BOUNDARY
     if alpha < 0 and beta < 0:
         return 1

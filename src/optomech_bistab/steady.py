@@ -48,9 +48,7 @@ class WorkingPoint:
     """One classical steady state with its linearization inputs."""
 
     q_s: float            # dimensionless displacement
-    p_s: float            # stationary momentum, always 0
-    alpha_s: complex      # cavity amplitude E/(kappa + i*Delta)
-    photons: float        # |alpha_s|^2
+    photons: float        # |alpha_s|^2, alpha_s = E/(kappa + i*Delta)
     delta: float          # effective detuning, rad/s
     G: float              # enhanced coupling, rad/s
     eta: float            # bistability parameter
@@ -61,20 +59,20 @@ class WorkingPoint:
 
 # All roots of a grid of models, in model order and ascending q_s within a
 # model; numpy arrays, but lists for branch and stable. Per root: its model
-# index, E and kappa of that model, the WorkingPoint fields; ``count`` is
-# per model: its number of roots.
-RootTable = namedtuple("RootTable", "model count q_s photons delta G eta E "
-                                    "kappa branch stable degenerate")
+# index and the WorkingPoint fields; per model, ``count``, its root count.
+RootTable = namedtuple("RootTable", "model count q_s photons delta G eta "
+                                    "branch stable degenerate")
 
 
 @dataclass(frozen=True, eq=False)
 class HysteresisTrace:
     """Steady states over a power grid with adiabatic sweep selections.
 
-    ``points``, ``up`` and ``down`` are views of ``table``, built on first
-    access. The up-sweep rides the smallest root until it ceases to exist
-    (the remaining single root IS the post-jump state); the down-sweep
-    mirrors it on the largest root.
+    ``points`` is the ``WorkingPoint`` view of ``table``, built on first
+    access. The up-sweep rides the smallest root of each power,
+    ``points[k][0]``, until it ceases to exist (the remaining single root
+    IS the post-jump state); the down-sweep mirrors it on the largest
+    root, ``points[k][-1]``.
     """
 
     powers: tuple[float, ...]                 # W, ascending
@@ -85,14 +83,6 @@ class HysteresisTrace:
     @cached_property
     def points(self) -> tuple[tuple[WorkingPoint, ...], ...]:
         return tuple(map(tuple, _working_points(self.table)))
-
-    @cached_property
-    def up(self) -> tuple[WorkingPoint, ...]:    # followed on the up-sweep
-        return tuple(pts[0] for pts in self.points)
-
-    @cached_property
-    def down(self) -> tuple[WorkingPoint, ...]:  # followed on the down-sweep
-        return tuple(pts[-1] for pts in self.points)
 
 
 def bistability_parameter(delta: float, G: float, kappa: float,
@@ -220,8 +210,9 @@ def _polish(c3, c2, c1, c0, x: np.ndarray) -> np.ndarray:
 def steady_states(mp: ModelParams) -> list[WorkingPoint]:
     """All classical steady states, sorted by displacement.
 
-    Three distinct roots are labelled lower/middle/upper; a single root is
-    labelled lower. A double root at a turning point is reported with
+    Three distinct roots are labelled lower/middle/upper. A single root is
+    labelled upper when it lies past the upper turning point q_hi, else
+    lower. A double root at a turning point is reported with
     degenerate=True rather than failing. The one-model view of
     ``steady_states_grid``.
     """
@@ -249,13 +240,11 @@ def steady_states_grid(mp: ModelParams) -> list[list[WorkingPoint]]:
 def _working_points(t: RootTable) -> list[list[WorkingPoint]]:
     """The ``WorkingPoint`` view of a root table, one list per model."""
     points: list[list[WorkingPoint]] = [[] for _ in range(len(t.count))]
-    for r, q_k, e, kap, d, ph, g, et, br, st, dg in zip(
-            t.model.tolist(), t.q_s.tolist(), t.E.tolist(), t.kappa.tolist(),
-            t.delta.tolist(), t.photons.tolist(), t.G.tolist(),
-            t.eta.tolist(), t.branch, t.stable, t.degenerate.tolist()):
-        points[r].append(WorkingPoint(
-            q_s=q_k, p_s=0.0, alpha_s=e / complex(kap, d), photons=ph,
-            delta=d, G=g, eta=et, branch=br, stable=st, degenerate=dg))
+    for r, *fields in zip(
+            t.model.tolist(), t.q_s.tolist(), t.photons.tolist(),
+            t.delta.tolist(), t.G.tolist(), t.eta.tolist(), t.branch,
+            t.stable, t.degenerate.tolist()):
+        points[r].append(WorkingPoint(*fields))
     return points
 
 
@@ -289,6 +278,12 @@ def _solve_grid(mp: ModelParams) -> RootTable:
         k = int(np.argmin(np.abs((3.0 * c3[r] * q + 2.0 * c2[r]) * q + c1[r])))
         double[np.searchsorted(row, r) + k] = True
 
+    # a single root past the upper turning point is on the upper branch
+    _, q_hi = _turning_points(kappa, G0, delta0)
+    upper = (count == 1) & (roots[:, 0] > q_hi)
+    labels = [_DEGENERATE_LABELS if d else (BRANCH_UPPER,) if u else _LABELS
+              for d, u in zip(degenerate.tolist(), upper.tolist())]
+
     q = roots[row, col]
     kappa, G0, E, delta0, omega_m, gamma_m = (
         a[row] for a in (kappa, G0, E, delta0, omega_m, gamma_m))
@@ -298,11 +293,10 @@ def _solve_grid(mp: ModelParams) -> RootTable:
     eta = bistability_parameter(delta, G, kappa, omega_m)
     stable = dynamics.is_stable_spectral(
         dynamics.drift_from_rates(delta, G, kappa, omega_m, gamma_m))
-    labels = [_DEGENERATE_LABELS if d else _LABELS for d in degenerate.tolist()]
     branch = [labels[r][k] for r, k in zip(row.tolist(), col.tolist())]
     return RootTable(model=row, count=count, q_s=q, photons=photons,
-                     delta=delta, G=G, eta=eta, E=E, kappa=kappa,
-                     branch=branch, stable=stable, degenerate=double)
+                     delta=delta, G=G, eta=eta, branch=branch, stable=stable,
+                     degenerate=double)
 
 
 def working_point_from_coupling(mp: ModelParams, G: float,
@@ -320,15 +314,12 @@ def working_point_from_coupling(mp: ModelParams, G: float,
         photons = amp * amp
         q = mp.G0 * photons / mp.omega_m
     else:
-        amp = float("nan")
         photons = float("nan")
         q = float("nan")
     A = dynamics.drift_from_rates(delta, G, mp.kappa, mp.omega_m, mp.gamma_m)
     return WorkingPoint(
-        q_s=q, p_s=0.0, alpha_s=complex(amp, 0.0), photons=photons,
-        delta=delta, G=G, eta=eta, branch=BRANCH_SYNTHETIC,
-        stable=dynamics.is_stable_spectral(A),
-    )
+        q_s=q, photons=photons, delta=delta, G=G, eta=eta,
+        branch=BRANCH_SYNTHETIC, stable=dynamics.is_stable_spectral(A))
 
 
 def working_point_from_eta(mp: ModelParams, eta: float,
@@ -347,19 +338,32 @@ def working_point_from_eta(mp: ModelParams, eta: float,
     return working_point_from_coupling(mp, G, delta)
 
 
+def _turning_points(kappa, G0, delta0):
+    """(q_lo, q_hi), the displacements where the drive E^2(q) of the
+    steady-state cubic is stationary: the lower branch ends at q_lo (a
+    local maximum of E^2), the upper branch at q_hi (a local minimum).
+    NaN where the response is single-valued: Delta_0^2 <= 3*kappa^2,
+    G0 <= 0 or Delta_0 <= 0. Takes scalars or broadcast arrays.
+    """
+    disc = delta0 ** 2 - 3.0 * kappa ** 2
+    bistable = (disc > 0) & (G0 > 0) & (delta0 > 0)
+    root = np.sqrt(np.where(bistable, disc, np.nan))
+    return ((2.0 * delta0 - root) / (3.0 * G0),
+            (2.0 * delta0 + root) / (3.0 * G0))
+
+
 def bistable_window_estimate(mp: ModelParams,
                              omega_L: float) -> tuple[float, float] | None:
     """(switch-down, switch-up) powers from the turning points of the
     steady-state cubic; None when the response is single-valued.
 
-    Exact closed form: the turning points q_lo/q_hi are where the drive
-    E^2(q) is stationary, mapped back to power through
-    E = sqrt(2*P*kappa/(hbar*omega_L)). ``hysteresis`` reports these as
-    its switch powers and the figure commands centre their default grids
-    on them.
+    Exact closed form: the turning points of ``_turning_points`` mapped
+    back to power through E = sqrt(2*P*kappa/(hbar*omega_L)).
+    ``hysteresis`` reports these as its switch powers and the figure
+    commands centre their default grids on them.
     """
-    disc = mp.delta0 ** 2 - 3.0 * mp.kappa ** 2
-    if disc <= 0 or mp.G0 <= 0 or mp.delta0 <= 0:
+    q_lo, q_hi = map(float, _turning_points(mp.kappa, mp.G0, mp.delta0))
+    if math.isnan(q_lo):
         return None
 
     def power_at(q):
@@ -367,9 +371,6 @@ def bistable_window_estimate(mp: ModelParams,
         e2 = mp.omega_m * q * (mp.kappa ** 2 + delta ** 2) / mp.G0
         return drive_power(e2, mp.kappa, omega_L)
 
-    root = math.sqrt(disc)
-    q_lo = (2.0 * mp.delta0 - root) / (3.0 * mp.G0)  # local max of the cubic
-    q_hi = (2.0 * mp.delta0 + root) / (3.0 * mp.G0)  # local min
     return power_at(q_hi), power_at(q_lo)
 
 
@@ -388,6 +389,8 @@ def hysteresis(mp: ModelParams, powers, omega_L: float) -> HysteresisTrace:
     powers = [float(p) for p in powers]
     if not powers:
         raise ValidationError("powers: grid must be non-empty")
+    if not all(map(math.isfinite, powers)):
+        raise ValidationError("powers: grid values must be finite")
     if any(p < 0 for p in powers):
         raise ValidationError("powers: grid values must be non-negative")
     if any(b <= a for a, b in zip(powers, powers[1:])):

@@ -11,7 +11,6 @@ from optomech_bistab.dynamics import (
     decay_rate,
     diffusion_matrix,
     drift_from_rates,
-    drift_matrix,
     integrate_lyapunov,
     is_stable_rh,
     is_stable_spectral,
@@ -71,14 +70,6 @@ def test_drift_decouples_without_coupling():
     assert np.all(A[2:, :2] == 0.0)
 
 
-def test_drift_matrix_from_working_point(default_model):
-    wp = steady.steady_states(default_model)[0]
-    A = drift_matrix(wp, default_model)
-    assert A[1, 2] == wp.G
-    assert A[2, 3] == wp.delta
-    assert A[2, 2] == -default_model.kappa
-
-
 def test_diffusion_matrix_entries():
     mp = _model(gamma=3e-4, nbar=12.0)
     D = diffusion_matrix(mp)
@@ -104,7 +95,8 @@ def test_rh_worked_example():
 
 def test_stable_point_eigenvalues_negative(default_model):
     wp = steady.steady_states(default_model)[0]
-    A = drift_matrix(wp, default_model)
+    A = drift_from_rates(wp.delta, wp.G, default_model.kappa,
+                         default_model.omega_m, default_model.gamma_m)
     eig = np.linalg.eigvals(A)
     assert eig.real.max() < 0
     # cross-check against the characteristic polynomial roots
@@ -233,7 +225,8 @@ def test_lyapunov_rejects_a_solution_off_in_one_entry(monkeypatch,
                                                       default_model, eta):
     mp = default_model
     wp = steady.working_point_from_eta(mp, eta, mp.omega_m)
-    A, D = drift_matrix(wp, mp), diffusion_matrix(mp)
+    A = drift_from_rates(wp.delta, wp.G, mp.kappa, mp.omega_m, mp.gamma_m)
+    D = diffusion_matrix(mp)
     solve_lyapunov(A, D)  # the unperturbed solve meets the bound
     solve = np.linalg.solve
     for entry in range(10):  # packed entries of V
@@ -305,7 +298,8 @@ def test_integrator_requires_positive_horizon():
 def test_integrator_matches_direct_solve(default_model):
     wp = steady.steady_states(default_model)[0]
     mp = default_model
-    A = drift_matrix(wp, mp) / mp.omega_m
+    A = drift_from_rates(wp.delta, wp.G, mp.kappa, mp.omega_m,
+                         mp.gamma_m) / mp.omega_m
     D = diffusion_matrix(mp) / mp.omega_m
     V_direct = solve_lyapunov(A, D)
     t_final = 50.0 / decay_rate(A)

@@ -3,15 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from optomech_bistab import __version__
 from optomech_bistab.dynamics import (
     LYAPUNOV_RESIDUAL_C,
-    LYAPUNOV_RESIDUAL_RTOL,
     diffusion_matrix,
-    drift_matrix,
+    drift_from_rates,
     solve_lyapunov,
     symplectic_eigenvalues,
 )
@@ -237,41 +236,21 @@ def _axis(lo, hi):
                     unique=True).map(sorted)
 
 
+# eta grids in [1e-3, 1], or log-uniform in [1e-8, 1e-5], where V grows
+# like 1/eta
+_ETAS = _axis(1e-3, 1.0) | _axis(-8.0, -5.0).map(
+    lambda xs: [10.0 ** x for x in xs])
+
+
 @given(kappa_over_wm=st.floats(0.05, 3.0), nbar=st.floats(0.0, 1e4),
-       etas=_axis(1e-3, 1.0), deltas_over_wm=_axis(0.02, 3.0))
-@settings(max_examples=60, deadline=None)
+       etas=_ETAS, deltas_over_wm=_axis(0.02, 3.0))
+# a correct row whose residual is 1.9 times 1e-9 * max|D|, the bound this
+# test held rows at eta >= 1e-3 to before it scaled with max|V|
+@example(kappa_over_wm=2.875, nbar=0.0, etas=[0.001], deltas_over_wm=[0.02])
+@settings(max_examples=120, deadline=None)
 def test_every_ok_row_is_physical(kappa_over_wm, nbar, etas, deltas_over_wm):
     w = _DEFAULT_MODEL.omega_m
     mp = replace(_DEFAULT_MODEL, kappa=kappa_over_wm * w, nbar=nbar)
-    deltas = [d * w for d in deltas_over_wm]
-    assume(len(set(deltas)) == len(deltas))
-    result = sweep(SweepSpec(
-        base=mp, axis1=AxisSpec("eta", tuple(etas)),
-        axis2=AxisSpec("effective_detuning", tuple(deltas))))
-    cells = [(eta, delta) for delta in deltas for eta in etas]
-    assert len(_rows(result)) == len(cells)
-    D = diffusion_matrix(mp)
-    for row, (eta, delta) in zip(_rows(result), cells):
-        if row["status"] != "ok":
-            continue
-        A = drift_matrix(working_point_from_eta(mp, eta, delta), mp)
-        V = solve_lyapunov(A, D)
-        assert row["detV"] == float(np.linalg.det(V))  # the row's covariance
-        assert row["E_N"] >= 0.0
-        assert symplectic_eigenvalues(V).min() >= 0.5 - 1e-9
-        residual = np.abs(A @ V + V @ A.T + D).max()
-        assert residual <= LYAPUNOV_RESIDUAL_RTOL * np.abs(D).max()
-
-
-@given(kappa_over_wm=st.floats(0.05, 3.0), nbar=st.floats(0.0, 1e4),
-       log_etas=_axis(-8.0, -5.0), deltas_over_wm=_axis(0.02, 3.0))
-@settings(max_examples=60, deadline=None)
-def test_every_ok_row_below_eta_1e3_is_physical(kappa_over_wm, nbar, log_etas,
-                                                deltas_over_wm):
-    # as V grows like 1/eta, the residual bound grows with max|V|
-    w = _DEFAULT_MODEL.omega_m
-    mp = replace(_DEFAULT_MODEL, kappa=kappa_over_wm * w, nbar=nbar)
-    etas = [10.0 ** x for x in log_etas]
     deltas = [d * w for d in deltas_over_wm]
     assume(len(set(etas)) == len(etas) and len(set(deltas)) == len(deltas))
     result = sweep(SweepSpec(
@@ -284,9 +263,10 @@ def test_every_ok_row_below_eta_1e3_is_physical(kappa_over_wm, nbar, log_etas,
     for row, (eta, delta) in zip(_rows(result), cells):
         if row["status"] != "ok":
             continue
-        A = drift_matrix(working_point_from_eta(mp, eta, delta), mp)
+        wp = working_point_from_eta(mp, eta, delta)
+        A = drift_from_rates(wp.delta, wp.G, mp.kappa, mp.omega_m, mp.gamma_m)
         V = solve_lyapunov(A, D)
-        assert row["detV"] == float(np.linalg.det(V))
+        assert row["detV"] == float(np.linalg.det(V))  # the row's covariance
         assert row["E_N"] >= 0.0
         assert symplectic_eigenvalues(V).min() >= 0.5 - 1e-9
         residual = np.abs(A @ V + V @ A.T + D).max()

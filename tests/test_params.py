@@ -21,7 +21,6 @@ from optomech_bistab.params import (
     drive_amplitude,
     drive_power,
     load_config,
-    normalize,
     thermal_phonons,
 )
 
@@ -97,6 +96,14 @@ def test_import_loads_no_scipy():
     assert out.returncode == 0, out.stderr
 
 
+def test_public_names_unique_sorted_and_defined():
+    names = optomech_bistab.__all__
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)
+    for name in names:
+        getattr(optomech_bistab, name)  # AttributeError names a stale entry
+
+
 def test_kappa_override_bypasses_finesse(reference_physical):
     omega_m = reference_physical.omega_m
     mp = derive_model(replace(reference_physical, kappa_override=1.4 * omega_m))
@@ -120,22 +127,6 @@ def test_validation_error_names_field(reference_physical, field, value):
     bad = replace(reference_physical, **{field: value})
     with pytest.raises(ValidationError, match=field):
         derive_model(bad)
-
-
-def test_normalized_kappa_is_ratio():
-    mp = ModelParams(kappa=TWO_PI * 1e7, G0=1e3, E=1e12, delta0=2e7,
-                     omega_m=TWO_PI * 1e7, gamma_m=1e2, nbar=10.0)
-    assert normalize(mp).kappa == 1.0
-    assert normalize(mp).omega_m == 1.0
-
-
-def test_normalize_preserves_rate_ratios(reference_model):
-    mp = reference_model
-    norm = normalize(mp)
-    assert norm.gamma_m == mp.gamma_m / mp.omega_m
-    assert norm.kappa / norm.gamma_m == pytest.approx(
-        mp.kappa / mp.gamma_m, rel=1e-14)
-    assert norm.nbar == mp.nbar
 
 
 @given(t1=st.floats(1e-6, 1e3), factor=st.floats(1.0 + 1e-9, 1e4))
@@ -223,6 +214,10 @@ def _dimensionless_outputs(mp):
 
 def test_dimensionless_outputs_invariant_under_normalization(default_model):
     si = _dimensionless_outputs(default_model)
-    scaled = _dimensionless_outputs(normalize(default_model))
+    w = default_model.omega_m
+    scaled = _dimensionless_outputs(ModelParams(
+        kappa=default_model.kappa / w, G0=default_model.G0 / w,
+        E=default_model.E / w, delta0=default_model.delta0 / w, omega_m=1.0,
+        gamma_m=default_model.gamma_m / w, nbar=default_model.nbar))
     for a, b in zip(si, scaled):
         assert a == pytest.approx(b, rel=1e-10)

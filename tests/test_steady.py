@@ -57,8 +57,8 @@ def test_decoupled_cavity_single_root(reference_model):
     wp = pts[0]
     assert wp.q_s == 0.0
     assert wp.branch == "lower"
-    expected = mp.E / complex(mp.kappa, mp.delta0)
-    assert wp.alpha_s == pytest.approx(expected, rel=1e-14)
+    expected = abs(mp.E / complex(mp.kappa, mp.delta0)) ** 2
+    assert wp.photons == pytest.approx(expected, rel=1e-14)
     assert wp.G == 0.0
     assert wp.eta == 1.0
 
@@ -69,7 +69,8 @@ def test_undriven_cavity_single_root(reference_model):
     assert len(pts) == 1
     wp = pts[0]
     assert wp.q_s == 0.0
-    assert wp.alpha_s == 0.0
+    assert wp.branch == "lower"
+    assert wp.photons == 0.0
     assert wp.delta == mp.delta0
     assert wp.eta == 1.0
 
@@ -107,11 +108,10 @@ def test_root_residual_contract(default_model):
 def test_working_point_self_consistency(default_model):
     mp = default_model
     for wp in steady_states(mp):
-        assert abs(wp.alpha_s * complex(mp.kappa, wp.delta) - mp.E) \
-            <= 1e-9 * mp.E
+        assert wp.photons * (mp.kappa ** 2 + wp.delta ** 2) == \
+            pytest.approx(mp.E ** 2, rel=1e-9)
         assert wp.q_s == pytest.approx(mp.G0 * wp.photons / mp.omega_m,
                                        rel=1e-9)
-        assert wp.p_s == 0.0
         assert wp.delta == pytest.approx(mp.delta0 - mp.G0 * wp.q_s, rel=1e-12)
 
 
@@ -228,9 +228,9 @@ def test_hysteresis_window(default_model, default_physical):
         assert len(pts) == (3 if inside else 1)
 
     # the sweeps disagree exactly inside the window
-    for power, up, down in zip(trace.powers, trace.up, trace.down):
+    for power, pts in zip(trace.powers, trace.points):
         inside = trace.switch_down < power < trace.switch_up
-        assert (up is not down) == inside
+        assert (pts[0] is not pts[-1]) == inside
 
     # a grid that steps over the window sees no change of the root count,
     # so no switch is reported
@@ -263,12 +263,9 @@ def test_hysteresis_grid_starting_inside_window(default_model,
     powers = np.linspace(0.5 * (p_down_ref + p_up_ref), 1.3 * p_up_ref, 30)
     trace = hysteresis(default_model, powers, omega_L)
     assert trace.switch_down is None and trace.switch_up is not None
-    for power, pts, up, down in zip(trace.powers, trace.points, trace.up,
-                                    trace.down):
-        if len(pts) == 3:
-            assert up is pts[0] and down is pts[-1]
-        else:
-            assert up is down is pts[0]
+    for pts in trace.points:
+        assert len(pts) in (1, 3)
+        assert pts[-1].branch == "upper"  # the down-sweep's point
 
 
 def test_hysteresis_below_window(default_model, default_physical):
@@ -277,7 +274,7 @@ def test_hysteresis_below_window(default_model, default_physical):
     powers = np.linspace(0.05 * p_down_ref, 0.5 * p_down_ref, 25)
     trace = hysteresis(default_model, powers, omega_L)
     assert trace.switch_up is None and trace.switch_down is None
-    assert all(u is d for u, d in zip(trace.up, trace.down))
+    assert all(len(pts) == 1 for pts in trace.points)
 
 
 def test_hysteresis_linear_when_decoupled(reference_model, reference_physical):
@@ -285,7 +282,7 @@ def test_hysteresis_linear_when_decoupled(reference_model, reference_physical):
     omega_L = laser_frequency(reference_physical.wavelength)
     powers = np.linspace(1e-4, 0.1, 12)
     trace = hysteresis(mp, powers, omega_L)
-    for power, wp in zip(trace.powers, trace.up):
+    for power, (wp,) in zip(trace.powers, trace.points):
         expected = 2.0 * power * mp.kappa / (
             HBAR * omega_L * (mp.kappa ** 2 + mp.delta0 ** 2))
         assert wp.photons == pytest.approx(expected, rel=1e-12)
@@ -299,10 +296,10 @@ def test_eta_vanishes_toward_turning_points(default_model, default_physical):
     for frac in (1e-1, 1e-2, 1e-3, 1e-4):
         up_trace = hysteresis(default_model, [p_up_ref - frac * width],
                               omega_L)
-        lower_end.append(up_trace.up[0].eta)
+        lower_end.append(up_trace.points[0][0].eta)
         down_trace = hysteresis(default_model, [p_down_ref + frac * width],
                                 omega_L)
-        upper_end.append(down_trace.down[0].eta)
+        upper_end.append(down_trace.points[0][-1].eta)
     for etas in (lower_end, upper_end):
         assert all(b < a for a, b in zip(etas, etas[1:]))
         assert etas[-1] < 0.02
@@ -330,6 +327,37 @@ def test_hysteresis_validation(default_model, default_physical):
         hysteresis(default_model, [0.02, 0.01], omega_L)
     with pytest.raises(ValidationError, match="non-negative"):
         hysteresis(default_model, [-0.01, 0.02], omega_L)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hysteresis_rejects_non_finite_powers(default_model, default_physical,
+                                              bad):
+    omega_L = laser_frequency(default_physical.wavelength)
+    with pytest.raises(ValidationError, match="powers: grid values must be "
+                                              "finite"):
+        hysteresis(default_model, [0.01, bad, 0.02], omega_L)
+
+
+def test_single_root_labels_follow_the_turning_points(default_model,
+                                                      default_physical):
+    mp = default_model
+    omega_L = laser_frequency(default_physical.wavelength)
+    p_down, p_up = bistable_window_estimate(mp, omega_L)
+
+    def single_root(model, power):
+        (wp,) = steady_states(replace(
+            model, E=drive_amplitude(power, model.kappa, omega_L)))
+        return wp
+
+    # past p_up the lower branch has ended: the root left is the upper one
+    assert single_root(mp, 1.01 * p_up).branch == "upper"
+    assert single_root(mp, 0.99 * p_down).branch == "lower"
+    # monostable (Delta0^2 <= 3 kappa^2) and blue-detuned models have one
+    # branch, labelled lower at every power
+    for model in (replace(mp, kappa=0.6 * mp.delta0),
+                  replace(mp, kappa=mp.delta0), replace(mp, delta0=-mp.delta0)):
+        for power in np.linspace(0.0, 10.0 * p_up, 41):
+            assert single_root(model, power).branch == "lower"
 
 
 def test_degenerate_root_at_turning_point(default_model):
@@ -437,13 +465,13 @@ def test_hysteresis_sweeps_differ_only_inside_window(kappa_over_wm, lo, width,
         assert list(points) == steady_states(replace(mp, E=E))
     if window is None:
         assert trace.switch_down is None and trace.switch_up is None
-        assert all(u is d for u, d in zip(trace.up, trace.down))
+        assert all(len(pts) == 1 for pts in trace.points)
         return
     p_down, p_up = window
     assert trace.switch_down in (None, p_down)
     assert trace.switch_up in (None, p_up)
-    for power, up, down in zip(trace.powers, trace.up, trace.down):
-        if up is not down:
+    for power, pts in zip(trace.powers, trace.points):
+        if len(pts) > 1:
             # the discriminant tolerance may call a cubic degenerate a
             # relative ~1e-12 outside the exact window
             assert p_down * (1 - 1e-9) <= power <= p_up * (1 + 1e-9)
