@@ -6,12 +6,12 @@ Usage:
                                         [--only FIG [FIG ...]]
 
 With no arguments this runs the bundled default parameter set at the
-default grid resolutions: about 8 s (6.2-10.1 s over eight runs) on a
-shared 2-CPU Intel Xeon VM with Python 3.11, most of it in fig5a. Panels that
-share a sweep (``SAME_SWEEP_AS``: fig3b with fig3a, fig5b with fig5a)
-run it once; the second file is a copy of the first. Pass --grid 41 or so for a quick
-smoke run, and --only with figure ids (fig2 ... fig6) to emit just those
-panels.
+default grid resolutions: about 8 s (7.2-9.6 s over four runs) on a
+shared 2-CPU Intel Xeon VM with Python 3.11, most of it in fig5a (about
+5 s) and fig3a (about 2 s). Panels that share a sweep (``SAME_SWEEP_AS``:
+fig3b with fig3a, fig5b with fig5a) run it once; the second file is a
+copy of the first. Pass --grid 41 or so for a quick smoke run, and --only
+with figure ids (fig2 ... fig6) to emit just those panels.
 """
 
 import argparse

@@ -102,21 +102,16 @@ def _load_physical(args):
 def _cmd_steady(args) -> int:
     physical = _load_physical(args)
     mp = derive_model(physical)
-    points = steady.steady_states(mp)
-    columns = {"P_in_W": [physical.power] * len(points),
-               **{name: [] for name in harness._POINT_COLUMNS}}
-    for wp in points:
-        for name, value in harness._point_fields(wp, mp).items():
-            columns[name].append(value)
+    points = harness._point_columns(steady._solve_grid(mp), mp)
+    columns = {"P_in_W": [physical.power] * len(points["q_s"]), **points}
     result = harness.SweepResult(columns, meta={
         "kappa_over_wm": repr(mp.kappa / mp.omega_m),
         "nbar": repr(mp.nbar),
     })
     path = harness.write_csv(result, args.out / "steady.csv", __version__)
-    for wp in points:
-        print(f"{wp.branch:>6}: q_s={wp.q_s:.6e} photons={wp.photons:.6e} "
-              f"Delta={wp.delta / mp.omega_m:.4f} wm  eta={wp.eta:.4f} "
-              f"stable={wp.stable}")
+    for branch, q_s, photons, delta, _, eta, stable in zip(*points.values()):
+        print(f"{branch:>6}: q_s={q_s:.6e} photons={photons:.6e} "
+              f"Delta={delta:.4f} wm  eta={eta:.4f} stable={stable}")
     print(f"wrote {path}")
     return EXIT_OK
 

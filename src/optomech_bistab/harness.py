@@ -1,8 +1,8 @@
 """Parameter sweeps, figure reproduction and CSV emission.
 
 Two families of sweep axes are supported. Experimental axes (power,
-bare_detuning, temperature) re-derive the model from the physical inputs
-and solve the steady-state cubic per grid point. Theoretical axes
+bare_detuning, temperature) derive the whole grid's models in one call
+and solve their steady-state cubics in one pass. Theoretical axes
 (effective_detuning, eta, coupling) prescribe the linearization inputs
 directly, inverting the bistability parameter for the coupling when eta
 is swept; they cannot be mixed with experimental axes in one sweep.
@@ -174,6 +174,12 @@ def _point_fields(wp, mp: ModelParams) -> dict:
         wp.G / mp.omega_m, wp.eta, wp.stable)))
 
 
+def _point_columns(t: steady.RootTable, mp: ModelParams) -> dict[str, list]:
+    """``_point_fields`` of every root of a root table, as column lists."""
+    return {name: v.tolist() if isinstance(v, np.ndarray) else v
+            for name, v in _point_fields(t, mp).items()}
+
+
 def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams,
                    validity_threshold: float = quantum.VALIDITY_THRESHOLD) -> dict:
     """One pipeline row: steady-state point -> covariance -> observables.
@@ -234,28 +240,23 @@ def _synthetic_point(mp: ModelParams,
     return steady.working_point_from_coupling(mp, values["coupling"], delta)
 
 
-def _cell_model(p: PhysicalParams, values: dict[str, float]) -> ModelParams:
-    return derive_model(replace(p, **{_AXES[name].field: value
-                                      for name, value in values.items()}))
-
-
-def _cell_points(spec: SweepSpec, cells: list[dict[str, float]]
+def _cell_points(spec: SweepSpec, axes: tuple[AxisSpec, ...], cells: list
                  ) -> list[tuple[ModelParams, list[steady.WorkingPoint]]]:
     """Per cell, its model and the working points it emits rows for.
 
     Theoretical axes prescribe one synthetic point per cell. Experimental
-    axes derive each cell's model, then solve every cell's steady states
-    in one ``steady_states_grid`` call.
+    axes derive one grid model, ``axes[k]`` on dimension k (its C order is
+    the cell order), and solve it in one ``steady_states_grid`` call.
     """
-    if any(name in THEORETICAL_AXES for name in cells[0]):
+    if axes[0].name in THEORETICAL_AXES:
         return [(spec.base, [_synthetic_point(spec.base, values)])
                 for values in cells]
-    models = [_cell_model(spec.physical, values) for values in cells]
-    # one ModelParams whose fields are arrays over the cells
-    stacked = ModelParams(*(np.array(column) for column in
-                            zip(*(vars(mp).values() for mp in models))))
+    grid = derive_model(replace(spec.physical, **dict(zip(
+        (_AXES[a.name].field for a in axes), np.ix_(*(a.values for a in axes))))))
+    models = [ModelParams(*cell) for cell in zip(*(
+        a.ravel().tolist() for a in np.broadcast_arrays(*vars(grid).values())))]
     return [(mp, _select_branch(points, spec.branch))
-            for mp, points in zip(models, steady.steady_states_grid(stacked))]
+            for mp, points in zip(models, steady.steady_states_grid(grid))]
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
@@ -269,7 +270,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
     columns = {column: [] for column in
                (*(_AXES[name].column for name in names), *_ROW_COLUMNS)}
 
-    for values, (mp, selected) in zip(cells, _cell_points(spec, cells)):
+    for values, (mp, selected) in zip(cells, _cell_points(spec, axes, cells)):
         for wp in selected:
             try:
                 row = evaluate_point(wp, mp, spec.validity_threshold)
@@ -367,12 +368,10 @@ def _hysteresis_rows(trace: steady.HysteresisTrace,
     # a model's roots are contiguous: the up-sweep is on its first root,
     # the down-sweep on its last
     end, index = np.cumsum(t.count)[t.model], np.arange(len(t.model))
-    fields = {"P_in_W": np.array(trace.powers)[t.model],
-              **_point_fields(t, mp),
-              "on_up_sweep": index == end - t.count[t.model],
-              "on_down_sweep": index == end - 1}
-    columns = {name: v.tolist() if isinstance(v, np.ndarray) else v
-               for name, v in fields.items()}
+    columns = {"P_in_W": np.array(trace.powers)[t.model].tolist(),
+               **_point_columns(t, mp),
+               "on_up_sweep": (index == end - t.count[t.model]).tolist(),
+               "on_down_sweep": (index == end - 1).tolist()}
     meta = {
         "switch_up_W": "NaN" if trace.switch_up is None else repr(trace.switch_up),
         "switch_down_W": "NaN" if trace.switch_down is None else repr(trace.switch_down),

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, fields
 
+import numpy as np
+
 from .errors import ValidationError
 
 _C = 299792458.0                        # speed of light, m/s
@@ -104,17 +106,21 @@ def _check_physical(p: PhysicalParams) -> None:
                  "must be a finite number")
         _require(value > 0, name, "must be strictly positive")
     for name, value in (("power", p.power), ("temperature", p.temperature)):
-        _require(isinstance(value, (int, float)) and math.isfinite(value), name,
-                 "must be a finite number")
-        _require(value >= 0, name, "must be non-negative")
-    _require(math.isfinite(p.delta0), "delta0", "must be finite")
+        _require(isinstance(value, (int, float, np.ndarray))
+                 and np.all(np.isfinite(value)), name, "must be a finite number")
+        _require(np.all(value >= 0), name, "must be non-negative")
+    _require(np.all(np.isfinite(p.delta0)), "delta0", "must be finite")
     if p.kappa_override is not None:
         _require(math.isfinite(p.kappa_override) and p.kappa_override > 0,
                  "kappa_override", "must be finite and strictly positive")
 
 
 def thermal_phonons(omega_m: float, temperature: float) -> float:
-    """Bose occupation 1/(exp(hbar*w/kB*T) - 1); exactly 0 at T = 0."""
+    """Bose occupation 1/(exp(hbar*w/kB*T) - 1); exactly 0 at T = 0. An
+    array of temperatures gives an array, through math.expm1 per value."""
+    if isinstance(temperature, np.ndarray):
+        return np.reshape([thermal_phonons(omega_m, t) for t in
+                           temperature.ravel().tolist()], temperature.shape)
     if temperature == 0.0:
         return 0.0
     return 1.0 / math.expm1(_HBAR * omega_m / (_KB * temperature))
@@ -131,8 +137,9 @@ def cavity_decay(cavity_length: float, finesse: float) -> float:
 
 
 def drive_amplitude(power: float, kappa: float, omega_L: float) -> float:
-    """Drive amplitude sqrt(2*P*kappa/(hbar*omega_L))."""
-    return math.sqrt(2.0 * power * kappa / (_HBAR * omega_L))
+    """Drive amplitude sqrt(2*P*kappa/(hbar*omega_L)), also of arrays."""
+    e2 = 2.0 * power * kappa / (_HBAR * omega_L)
+    return np.sqrt(e2) if isinstance(e2, np.ndarray) else math.sqrt(e2)
 
 
 def drive_power(e2: float, kappa: float, omega_L: float) -> float:
@@ -145,7 +152,9 @@ def derive_model(p: PhysicalParams) -> ModelParams:
     """Derive the model constants from experiment-level inputs.
 
     Raises ValidationError naming the offending field on non-finite or
-    out-of-range inputs.
+    out-of-range inputs. Power, delta0 and temperature may be numpy arrays,
+    checked elementwise; the fields then broadcast over a sweep grid, each
+    element bit-identical to the scalar derivation (only + - * / sqrt).
     """
     _check_physical(p)
     omega_L = laser_frequency(p.wavelength)

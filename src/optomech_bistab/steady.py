@@ -250,9 +250,12 @@ def _working_points(t: RootTable) -> list[list[WorkingPoint]]:
 
 def _solve_grid(mp: ModelParams) -> RootTable:
     """The root table of every model of a grid (see ``steady_states_grid``)."""
-    kappa, G0, E, delta0, omega_m, gamma_m = (
-        a.ravel().astype(float) for a in np.broadcast_arrays(
-            mp.kappa, mp.G0, mp.E, mp.delta0, mp.omega_m, mp.gamma_m))
+    # nbar broadcasts too, so that a temperature grid is a grid of models
+    kappa, G0, E, delta0, omega_m, gamma_m, _ = fields = [
+        a.ravel().astype(float) for a in np.broadcast_arrays(*vars(mp).values())]
+    for name, a in zip(vars(mp), fields[:-1]):  # the roots ignore nbar
+        if not np.all(np.isfinite(a)):
+            raise ValidationError(f"{name}: must be finite")
     if np.any(E < 0):
         raise ValidationError("E: drive amplitude must be non-negative")
 
@@ -396,7 +399,7 @@ def hysteresis(mp: ModelParams, powers, omega_L: float) -> HysteresisTrace:
     if any(b <= a for a, b in zip(powers, powers[1:])):
         raise ValidationError("powers: grid must be strictly increasing")
 
-    E = np.array([drive_amplitude(p, mp.kappa, omega_L) for p in powers])
+    E = drive_amplitude(np.array(powers), mp.kappa, omega_L)
     table = _solve_grid(replace(mp, E=E))
     counts = table.count.tolist()
 

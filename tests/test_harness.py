@@ -1,12 +1,13 @@
 import math
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from optomech_bistab import __version__
+from optomech_bistab import __version__, harness
 from optomech_bistab.dynamics import (
     LYAPUNOV_RESIDUAL_C,
     diffusion_matrix,
@@ -347,6 +348,84 @@ def test_power_sweep_entanglement_peaks_at_branch_ends(
     powers_f, ens_f = _branch_argmax(_rows(fine), "lower")
     coarse_cell = powers[1] - powers[0]
     assert abs(powers_f[int(np.argmax(ens_f))] - powers[idx]) <= coarse_cell
+
+
+# experimental axis -> (CSV column, PhysicalParams field, whether a rate)
+_EXPERIMENTAL = {"power": ("P_in_W", "power", False),
+                 "bare_detuning": ("Delta0_over_wm", "delta0", True),
+                 "temperature": ("T_K", "temperature", False)}
+
+
+def _per_cell_columns(spec):
+    """The columns of an experimental sweep built one cell at a time: the
+    cell's scalar model, its steady states, the branch pick, one row each."""
+    omega_m = spec.base.omega_m
+    axes = (spec.axis1,) if spec.axis2 is None else (spec.axis2, spec.axis1)
+    columns = {}
+    for values in product(*(axis.values for axis in axes)):
+        mp = derive_model(replace(spec.physical, **{
+            _EXPERIMENTAL[axis.name][1]: value
+            for axis, value in zip(axes, values)}))
+        points = steady_states(mp)
+        picked = {"lower": points[:1], "upper": points[-1:],
+                  "both": points[:1] + points[1:][-1:], "all": points}
+        for wp in picked[spec.branch]:
+            row = {}
+            for axis, value in zip(axes, values):
+                column, _, rate = _EXPERIMENTAL[axis.name]
+                row[column] = value / omega_m if rate else value
+            row.update(evaluate_point(wp, mp, spec.validity_threshold))
+            for name, value in row.items():
+                columns.setdefault(name, []).append(value)
+    return columns
+
+
+@pytest.mark.parametrize("case,branch", [
+    *(("power x bare_detuning", b) for b in ("lower", "upper", "both", "all")),
+    ("power x temperature", "both"),
+    ("bare_detuning", "all"),
+])
+def test_experimental_sweep_equals_per_cell_path(default_model, default_physical,
+                                                 case, branch):
+    w = default_model.omega_m
+    p_down, p_up = bistable_window_estimate(
+        default_model, laser_frequency(default_physical.wavelength))
+    powers = AxisSpec("power", linear_grid(0.5 * p_down, 1.3 * p_up, 9))
+    axis1, axis2 = {
+        # Delta0^2 > 3 kappa^2 (bistable) from about 2.42 omega_m on
+        "power x bare_detuning": (powers, AxisSpec(
+            "bare_detuning", linear_grid(1.5 * w, 3.5 * w, 5))),
+        "power x temperature": (powers, AxisSpec("temperature",
+                                                 (0.0, 0.4, 5.0))),
+        "bare_detuning": (AxisSpec("bare_detuning",
+                                   linear_grid(-2.0 * w, 4.0 * w, 13)), None),
+    }[case]
+    spec = SweepSpec(base=default_model, physical=default_physical,
+                     axis1=axis1, axis2=axis2, branch=branch)
+    expected = _per_cell_columns(spec)
+    result = sweep(spec)
+    assert set(result.columns) == set(expected)
+    assert "ok" in expected["status"]
+    for name, values in result.columns.items():
+        assert list(map(repr, values)) == list(map(repr, expected[name])), name
+
+
+def test_experimental_sweep_derives_once(tmp_path, default_physical,
+                                         monkeypatch):
+    calls = []
+
+    def counted(physical):
+        calls.append(physical)
+        return derive_model(physical)
+
+    monkeypatch.setattr(harness, "derive_model", counted)
+    counts = []
+    for grid in (4, 8):
+        calls.clear()
+        figure_command("fig5a", default_physical, tmp_path, grid=grid,
+                       timestamp="T")
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_figure2_sweeps_differ_only_in_window(tmp_path, default_physical):

@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -110,6 +111,16 @@ def test_kappa_override_bypasses_finesse(reference_physical):
     assert mp.kappa == 1.4 * omega_m
 
 
+# an array field with one bad value, which comes last
+_BAD_ARRAYS = [
+    ("power", [0.01, -1e-3]),
+    ("power", [[0.01], [math.nan]]),
+    ("temperature", [[0.4], [-0.1]]),
+    ("temperature", [0.0, math.nan]),
+    ("delta0", [[1e7], [math.inf]]),
+]
+
+
 @pytest.mark.parametrize("field,value", [
     ("cavity_length", 0.0),
     ("cavity_length", -1e-3),
@@ -122,11 +133,56 @@ def test_kappa_override_bypasses_finesse(reference_physical):
     ("temperature", -0.1),
     ("mass", float("nan")),
     ("delta0", float("inf")),
+    *((field, np.array(values)) for field, values in _BAD_ARRAYS),
 ])
 def test_validation_error_names_field(reference_physical, field, value):
     bad = replace(reference_physical, **{field: value})
     with pytest.raises(ValidationError, match=field):
         derive_model(bad)
+
+
+@pytest.mark.parametrize("field,values", _BAD_ARRAYS)
+def test_array_validation_message_is_the_scalar_one(reference_physical,
+                                                     field, values):
+    array = np.array(values)
+    with pytest.raises(ValidationError) as of_array:
+        derive_model(replace(reference_physical, **{field: array}))
+    with pytest.raises(ValidationError) as of_value:
+        derive_model(replace(reference_physical,
+                             **{field: array.ravel().tolist()[-1]}))
+    assert str(of_array.value) == str(of_value.value)
+
+
+@pytest.mark.parametrize("rows,columns", [
+    (("delta0", [-1.0, 0.5, 2.62, 4.0]), ("power", [0.0, 0.01, 0.057, 0.2])),
+    (("temperature", [0.0, 0.4, 10.0]), ("power", [0.0, 0.057])),
+    (("delta0", [0.5, 2.62]), ("temperature", [0.0, 0.4, 5.0])),
+])
+def test_array_model_equals_scalar_models(reference_physical, rows, columns):
+    """Fields of shapes (n, 1) x (m,) give an (n, m) grid of models."""
+    (row_field, row_values), (col_field, col_values) = rows, columns
+    scale = {"delta0": reference_physical.omega_m}
+    row_values = [v * scale.get(row_field, 1.0) for v in row_values]
+    col_values = [v * scale.get(col_field, 1.0) for v in col_values]
+    grid = derive_model(replace(reference_physical, **{
+        row_field: np.array(row_values)[:, None],
+        col_field: np.array(col_values)}))
+    cells = [[derive_model(replace(reference_physical,
+                                   **{row_field: r, col_field: c}))
+              for c in col_values] for r in row_values]
+    shape = (len(row_values), len(col_values))
+    for name, value in vars(grid).items():
+        expected = [[getattr(mp, name) for mp in row] for row in cells]
+        assert np.array_equal(np.broadcast_to(value, shape), expected), name
+
+
+def test_scalar_model_fields_are_floats(reference_physical):
+    mp = derive_model(replace(reference_physical, temperature=0.0))
+    assert all(type(v) is float for v in vars(mp).values())
+    mp = derive_model(reference_physical)
+    assert all(type(v) is float for v in vars(mp).values())
+    assert type(drive_amplitude(0.05, mp.kappa, 2.3e15)) is float
+    assert type(thermal_phonons(mp.omega_m, 0.4)) is float
 
 
 @given(t1=st.floats(1e-6, 1e3), factor=st.floats(1.0 + 1e-9, 1e4))

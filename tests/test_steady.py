@@ -338,6 +338,28 @@ def test_hysteresis_rejects_non_finite_powers(default_model, default_physical,
         hysteresis(default_model, [0.01, bad, 0.02], omega_L)
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("kappa", math.inf), ("G0", math.nan), ("E", math.nan),
+    ("delta0", -math.inf), ("omega_m", math.nan), ("gamma_m", math.inf),
+    ("E", np.array([1e12, math.nan])),
+])
+def test_non_finite_model_field_is_named(default_model, field, bad):
+    with pytest.raises(ValidationError, match=f"^{field}: must be finite$"):
+        steady_states_grid(replace(default_model, **{field: bad}))
+
+
+def test_every_field_spans_the_grid(default_model):
+    # the roots ignore nbar, but a temperature sweep is a grid of models
+    grid = steady_states_grid(replace(default_model,
+                                      nbar=np.array([0.0, 1.0, 2.0])))
+    assert grid == [steady_states(default_model)] * 3
+
+
+def test_hysteresis_rejects_non_finite_laser_frequency(default_model):
+    with pytest.raises(ValidationError, match="^E: must be finite$"):
+        hysteresis(default_model, [0.01, 0.02], math.nan)
+
+
 def test_single_root_labels_follow_the_turning_points(default_model,
                                                       default_physical):
     mp = default_model
