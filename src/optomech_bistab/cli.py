@@ -81,10 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="points per sweep axis (figure/sweep defaults if omitted)")
     p_sweep.add_argument("--branch", choices=harness.BRANCH_CHOICES,
                          default="both", help="branch selection for sweeps")
-    for p in (p_sweep, p_fig):
-        p.add_argument("--validity-threshold", type=float,
-                       default=quantum.VALIDITY_THRESHOLD,
-                       help="linearization validity bound on n_o/|alpha_s|^2")
     p_sweep.add_argument("--axis1", required=True,
                          help="NAME=LO:HI[:N]; names: " + ", ".join(harness.AXIS_NAMES))
     p_sweep.add_argument("--axis2", default=None, help="optional second axis")
@@ -124,9 +120,8 @@ def _cmd_sweep(args) -> int:
     axis2 = None
     if args.axis2 is not None:
         axis2 = _parse_axis(args.axis2, n_default, mp.omega_m)
-    spec = harness.SweepSpec(
-        base=mp, physical=physical, axis1=axis1, axis2=axis2,
-        branch=args.branch, validity_threshold=args.validity_threshold)
+    spec = harness.SweepSpec(base=mp, physical=physical, axis1=axis1,
+                             axis2=axis2, branch=args.branch)
     result = harness.sweep(spec)
     path = harness.write_csv(result, args.out / "sweep.csv", __version__)
     print(f"wrote {path} ({len(result.columns['status'])} rows)")
@@ -135,9 +130,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_figure(args) -> int:
     physical = _load_physical(args)
-    paths = harness.figure_command(
-        args.id, physical, args.out, grid=args.grid,
-        validity_threshold=args.validity_threshold, version=__version__)
+    paths = harness.figure_command(args.id, physical, args.out,
+                                   grid=args.grid, version=__version__)
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK

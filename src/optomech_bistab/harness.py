@@ -101,7 +101,6 @@ class SweepSpec:
     axis2: AxisSpec | None = None
     branch: str = "both"
     physical: PhysicalParams | None = None
-    validity_threshold: float = quantum.VALIDITY_THRESHOLD
 
 
 @dataclass
@@ -162,8 +161,6 @@ def validate_spec(spec: SweepSpec) -> None:
             "to fix the working point")
     if "eta" in theoretical and "coupling" in theoretical:
         raise ValidationError("axes: eta and coupling axes are redundant")
-    if not spec.validity_threshold > 0:
-        raise ValidationError("validity_threshold: must be positive")
 
 
 def _point_fields(wp, mp: ModelParams) -> dict:
@@ -180,8 +177,7 @@ def _point_columns(t: steady.RootTable, mp: ModelParams) -> dict[str, list]:
             for name, v in _point_fields(t, mp).items()}
 
 
-def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams,
-                   validity_threshold: float = quantum.VALIDITY_THRESHOLD) -> dict:
+def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams) -> dict:
     """One pipeline row: steady-state point -> covariance -> observables.
 
     Unstable, marginal, degenerate and ill-conditioned points keep their
@@ -204,8 +200,7 @@ def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams,
     except IllConditionedError:
         row["status"] = STATUS_CONDITIONING
         return row
-    report = quantum.log_negativity(V, photons=wp.photons,
-                                    validity_threshold=validity_threshold)
+    report = quantum.log_negativity(V, photons=wp.photons)
     row.update({
         "n_m": report.n_m,
         "n_o": report.n_o,
@@ -273,7 +268,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
     for values, (mp, selected) in zip(cells, _cell_points(spec, axes, cells)):
         for wp in selected:
             try:
-                row = evaluate_point(wp, mp, spec.validity_threshold)
+                row = evaluate_point(wp, mp)
             except Exception as exc:  # failures are data, not aborts
                 row = {**_point_fields(wp, mp),
                        **dict.fromkeys(_COVARIANCE_COLUMNS),
@@ -290,7 +285,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
         "branch": spec.branch,
         "kappa_over_wm": repr(spec.base.kappa / spec.base.omega_m),
         "gamma_over_wm": repr(spec.base.gamma_m / spec.base.omega_m),
-        "validity_threshold": repr(spec.validity_threshold),
+        "validity_threshold": repr(quantum.VALIDITY_THRESHOLD),
     }
     if spec.axis2 is not None:
         meta["axis2"] = f"{spec.axis2.name}[{len(spec.axis2.values)}]"
@@ -390,9 +385,8 @@ def _default_power_grid(mp: ModelParams, omega_L: float, fallback: float,
 
 
 def figure_command(fig_id: str, physical: PhysicalParams, out_dir,
-                   grid: int | None = None,
-                   validity_threshold: float = quantum.VALIDITY_THRESHOLD,
-                   version: str = "0", timestamp: str | None = None) -> list[Path]:
+                   grid: int | None = None, version: str = "0",
+                   timestamp: str | None = None) -> list[Path]:
     """Emit the CSV data behind one figure panel; returns written paths.
 
     fig2   hysteresis loop of the intracavity power vs input power
@@ -436,6 +430,5 @@ def figure_command(fig_id: str, physical: PhysicalParams, out_dir,
                 axis2 = AxisSpec("temperature", (0.4, 5.0, 10.0))
             branch = "both"
         result = sweep(SweepSpec(base=mp, physical=physical, axis1=axis1,
-                                 axis2=axis2, branch=branch,
-                                 validity_threshold=validity_threshold))
+                                 axis2=axis2, branch=branch))
     return [write_csv(result, out_dir / f"{fig_id}.csv", version, timestamp)]

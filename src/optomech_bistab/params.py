@@ -117,13 +117,20 @@ def _check_physical(p: PhysicalParams) -> None:
 
 def thermal_phonons(omega_m: float, temperature: float) -> float:
     """Bose occupation 1/(exp(hbar*w/kB*T) - 1); exactly 0 at T = 0. An
-    array of temperatures gives an array, through math.expm1 per value."""
+    array of temperatures gives an array, through math.expm1 per value.
+    Where exp overflows (hbar*w/kB*T above ~709.8), the occupation is its
+    limit exp(-hbar*w/kB*T), subnormal or 0."""
     if isinstance(temperature, np.ndarray):
         return np.reshape([thermal_phonons(omega_m, t) for t in
                            temperature.ravel().tolist()], temperature.shape)
-    if temperature == 0.0:
+    kT = _KB * temperature
+    if kT == 0.0:  # T = 0, or so cold that kB*T underflows
         return 0.0
-    return 1.0 / math.expm1(_HBAR * omega_m / (_KB * temperature))
+    x = _HBAR * omega_m / kT
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:
+        return math.exp(-x)
 
 
 def laser_frequency(wavelength: float) -> float:

@@ -26,7 +26,7 @@ import numpy as np
 from .dynamics import split_blocks
 from .errors import PhysicalityError
 
-# default linearization-validity threshold: n_o <= threshold * photons
+# linearization-validity threshold of validity_ok: n_o <= threshold * photons
 VALIDITY_THRESHOLD = 0.01
 
 # |alpha| or |beta| below this counts as a regime-boundary tie
@@ -45,7 +45,7 @@ class EntanglementReport:
     e_n: float             # logarithmic negativity, >= 0
     n_m: float             # phonon occupancy
     n_o: float             # photon occupancy
-    validity_ok: bool      # n_o <= threshold * photons
+    validity_ok: bool      # n_o <= VALIDITY_THRESHOLD * photons
     validity_ratio: float  # n_o / photons (NaN if photons unknown)
 
 
@@ -69,26 +69,26 @@ def occupancies(V: np.ndarray) -> tuple[float, float]:
 
 
 def log_negativity(V: np.ndarray, photons: float | None = None,
-                   validity_threshold: float = VALIDITY_THRESHOLD,
                    slack: float = 1e-9) -> EntanglementReport:
     """Full entanglement report for a physical 4x4 covariance matrix.
 
     ``photons`` is the classical intracavity photon number |alpha_s|^2 of
     the working point; when omitted the validity ratio is NaN and the
     validity flag vacuously true. Raises PhysicalityError if the
-    symplectic discriminant Sigma^2 - 4 det V is negative beyond ``slack``.
+    symplectic discriminant Sigma^2 - 4 det V or nu_min^2 is negative
+    beyond ``slack``, or NaN, as where the determinants of V overflow.
     """
     det_a, det_b, det_c = np.linalg.det(split_blocks(V))  # stacked: one call
     sigma = det_a + det_b - 2.0 * det_c
     det_v = float(np.linalg.det(V))
     disc = sigma * sigma - 4.0 * det_v
-    if disc < -slack:
+    if not disc >= -slack:  # NaN too: overflowed determinants
         raise PhysicalityError(
-            f"Sigma^2 - 4 det V = {disc:.3e} < 0 beyond slack; "
+            f"Sigma^2 - 4 det V = {disc:.3e}, not >= 0 within slack; "
             "covariance is not physical")
     nu_sq = (sigma - math.sqrt(max(disc, 0.0))) / 2.0
-    if nu_sq < -slack:
-        raise PhysicalityError(f"nu_min^2 = {nu_sq:.3e} < 0 beyond slack")
+    if not nu_sq >= -slack:
+        raise PhysicalityError(f"nu_min^2 = {nu_sq:.3e}, not >= 0 within slack")
     nu_min = math.sqrt(max(nu_sq, 0.0))
     e_n = max(0.0, -math.log(2.0 * nu_min)) if nu_min > 0 else math.inf
     n_m, n_o = occupancies(V)
@@ -97,7 +97,7 @@ def log_negativity(V: np.ndarray, photons: float | None = None,
         ok = True
     else:
         ratio = n_o / photons if photons > 0 else math.inf
-        ok = n_o <= validity_threshold * photons
+        ok = n_o <= VALIDITY_THRESHOLD * photons
     return EntanglementReport(
         sigma=float(sigma), det_v=det_v, nu_min=nu_min, e_n=e_n,
         n_m=n_m, n_o=n_o, validity_ok=ok, validity_ratio=ratio,

@@ -265,10 +265,17 @@ def _solve_grid(mp: ModelParams) -> RootTable:
     degenerate = np.zeros(n, dtype=bool)
     # undriven or decoupled models keep q = 0, their only root
     cubic = (E != 0.0) & (G0 != 0.0)
-    c3 = omega_m * G0 * G0
-    c2 = -2.0 * omega_m * G0 * delta0
-    c1 = omega_m * (kappa * kappa + delta0 * delta0)
-    c0 = -G0 * E * E
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        c3 = omega_m * G0 * G0
+        c2 = -2.0 * omega_m * G0 * delta0
+        c1 = omega_m * (kappa * kappa + delta0 * delta0)
+        c0 = -G0 * E * E
+    if not np.all(np.isfinite([c3, c2, c1, c0])):
+        # the cubic's fields are all rates (rad/s): name the largest
+        name, _ = max(zip(vars(mp), fields[:5]),
+                      key=lambda f: np.max(np.abs(f[1])))
+        raise ValidationError(f"{name}: too large, the steady-state cubic "
+                              "overflows")
     if cubic.any():
         roots[cubic], count[cubic], degenerate[cubic] = _cubic_roots(
             c3[cubic], c2[cubic], c1[cubic], c0[cubic])
@@ -300,6 +307,16 @@ def _solve_grid(mp: ModelParams) -> RootTable:
     return RootTable(model=row, count=count, q_s=q, photons=photons,
                      delta=delta, G=G, eta=eta, branch=branch, stable=stable,
                      degenerate=double)
+
+
+def _square(x, name: str):
+    """x ** 2; where the square of a float overflows (float ** raises,
+    an array gives inf), a ValidationError naming the input ``name``."""
+    try:
+        return x ** 2
+    except OverflowError:
+        raise ValidationError(f"{name}: too large, its square overflows") \
+            from None
 
 
 def working_point_from_coupling(mp: ModelParams, G: float,
@@ -337,7 +354,13 @@ def working_point_from_eta(mp: ModelParams, eta: float,
         raise ValidationError("effective_detuning: must be positive for an eta sweep")
     if eta > 1:
         raise ValidationError(f"eta: must be <= 1, got {eta}")
-    G = math.sqrt(mp.omega_m * (mp.kappa ** 2 + delta ** 2) * (1.0 - eta) / delta)
+    G = math.sqrt(mp.omega_m * (_square(mp.kappa, "kappa")
+                                + _square(delta, "effective_detuning"))
+                  * (1.0 - eta) / delta)
+    if not math.isfinite(G):
+        raise ValidationError(
+            f"eta {eta!r} at effective_detuning {delta / mp.omega_m!r} "
+            "omega_m: the coupling overflows")
     return working_point_from_coupling(mp, G, delta)
 
 
@@ -348,7 +371,7 @@ def _turning_points(kappa, G0, delta0):
     NaN where the response is single-valued: Delta_0^2 <= 3*kappa^2,
     G0 <= 0 or Delta_0 <= 0. Takes scalars or broadcast arrays.
     """
-    disc = delta0 ** 2 - 3.0 * kappa ** 2
+    disc = _square(delta0, "delta0") - 3.0 * _square(kappa, "kappa")
     bistable = (disc > 0) & (G0 > 0) & (delta0 > 0)
     root = np.sqrt(np.where(bistable, disc, np.nan))
     return ((2.0 * delta0 - root) / (3.0 * G0),
@@ -398,6 +421,9 @@ def hysteresis(mp: ModelParams, powers, omega_L: float) -> HysteresisTrace:
         raise ValidationError("powers: grid values must be non-negative")
     if any(b <= a for a, b in zip(powers, powers[1:])):
         raise ValidationError("powers: grid must be strictly increasing")
+    for name, value in (("omega_L", omega_L), ("kappa", mp.kappa)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"{name}: must be finite and positive")
 
     E = drive_amplitude(np.array(powers), mp.kappa, omega_L)
     table = _solve_grid(replace(mp, E=E))

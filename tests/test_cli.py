@@ -110,6 +110,8 @@ def test_grid_zero_is_rejected(tmp_path, config_file, capsys, command):
     ["steady", "--grid", "5"],
     ["steady", "--branch", "upper"],
     ["steady", "--validity-threshold", "0.5"],
+    ["sweep", "--axis1", "power=0.01:0.02", "--validity-threshold", "0.5"],
+    ["figure", "fig2", "--validity-threshold", "0.5"],
     ["figure", "fig5a", "--branch", "upper"],
     ["optima", "--out", "out"],
     ["optima", "--grid", "5"],
@@ -177,27 +179,6 @@ def test_numerical_failure_exit_code(monkeypatch, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_validity_threshold_flag(tmp_path, config_file):
-    # a permissive threshold flips the validity flag on marginal points
-    args = ["sweep", "--config", str(config_file),
-            "--axis1", "eta=0.001:0.001:1", "--grid", "1"]
-    strict = tmp_path / "strict"
-    loose = tmp_path / "loose"
-    assert main(args + ["--out", str(strict),
-                        "--validity-threshold", "1e-9"]) == 0
-    assert main(args + ["--out", str(loose),
-                        "--validity-threshold", "1e9"]) == 0
-
-    def flag(path):
-        lines = [l for l in (path / "sweep.csv").read_text().splitlines()
-                 if not l.startswith("#")]
-        header = lines[0].split(",")
-        return lines[1].split(",")[header.index("validity_ok")]
-
-    assert flag(strict) == "0"
-    assert flag(loose) == "1"
-
-
 # row statuses of a sweep, less the error:<exception> rows of a per-row
 # exception the harness did not expect
 STATUSES = {harness.STATUS_OK, harness.STATUS_UNSTABLE, harness.STATUS_MARGINAL,
@@ -222,12 +203,22 @@ EDGE_PROBES = [
             "--axis2", "effective_detuning=1:1:1"]),
     (None, ["sweep", "--axis1", "coupling=0:50",
             "--axis2", "effective_detuning=1:1:1"]),
+    # exp(hbar*omega_m/kB*T) overflows, or kB*T underflows to 0
+    ("temperature_K = 1e-7", ["steady"]),
+    ("temperature_K = 1e-7", ["figure", "fig4"]),
+    ("temperature_K = 1e-310", ["steady"]),
+    (None, ["sweep", "--axis1", "temperature=1e-9:1:3"]),
+    (None, ["sweep", "--axis1", "temperature=1e-320:1:3"]),
 ]
 
 
-@pytest.mark.parametrize("edit,command", EDGE_PROBES,
-                         ids=[" ".join(filter(None, [e, *c])) for e, c in EDGE_PROBES])
-def test_edge_inputs_end_in_status_rows(tmp_path, edit, command):
+def _probe_ids(probes):
+    return [" ".join(filter(None, [e, *c])) for e, c, *_ in probes]
+
+
+def _run_probe(tmp_path, edit, command):
+    """Exit code of ``command`` run on CONFIG with one line replaced by
+    ``edit``, and the CSV rows it wrote: (header, rows), or None."""
     config = CONFIG
     if edit is not None:
         key = edit.split(" = ")[0]
@@ -236,10 +227,61 @@ def test_edge_inputs_end_in_status_rows(tmp_path, edit, command):
     path = tmp_path / "edge.cfg"
     path.write_text(config)
     out = tmp_path / "out"
-    assert main(command + ["--config", str(path), "--out", str(out)]) == 0
-    (csv,) = out.glob("*.csv")
+    code = main(command + ["--config", str(path), "--out", str(out)])
+    csvs = list(out.glob("*.csv"))
+    if not csvs:
+        return code, None
+    (csv,) = csvs
     lines = [l for l in csv.read_text().splitlines() if not l.startswith("#")]
-    header, rows = lines[0].split(","), [l.split(",") for l in lines[1:]]
+    return code, (lines[0].split(","), [l.split(",") for l in lines[1:]])
+
+
+@pytest.mark.parametrize("edit,command", EDGE_PROBES, ids=_probe_ids(EDGE_PROBES))
+def test_edge_inputs_end_in_status_rows(tmp_path, edit, command):
+    code, (header, rows) = _run_probe(tmp_path, edit, command)
+    assert code == 0
     assert rows
     if "status" in header:
         assert {r[header.index("status")] for r in rows} <= STATUSES
+
+
+# inputs that overflow a double on the way to a steady state (a square,
+# the coupling backed out of eta, the cubic's coefficients): each must end
+# in exit 2 with an error naming an input, never in a traceback
+OVERFLOW_PROBES = [
+    (None, ["sweep", "--axis1", "eta=-1e300", "--axis2", "effective_detuning=1"],
+     "eta"),
+    (None, ["sweep", "--axis1", "eta=0.5", "--axis2",
+            "effective_detuning=1e-320"], "effective_detuning"),
+    (None, ["sweep", "--axis1", "eta=0.5", "--axis2",
+            "effective_detuning=1e300"], "effective_detuning"),
+    (None, ["sweep", "--axis1", "eta=1", "--axis2", "effective_detuning=1e143"],
+     "effective_detuning"),
+    (None, ["sweep", "--axis1", "bare_detuning=1e150:1e151:3"], "delta0"),
+    ("bare_detuning = 1e160", ["steady"], "delta0"),
+    ("bare_detuning = 1e160", ["figure", "fig2"], "delta0"),
+    ("bare_detuning = 1e160", ["figure", "fig4"], "delta0"),
+    ("bare_detuning = 1e160", ["figure", "fig5a"], "delta0"),
+    ("kappa_override = 1e200", ["steady"], "kappa"),
+    ("kappa_override = 1e200", ["figure", "fig2"], "kappa"),
+]
+
+
+@pytest.mark.parametrize("edit,command,name", OVERFLOW_PROBES,
+                         ids=_probe_ids(OVERFLOW_PROBES))
+def test_overflowing_inputs_exit_2(tmp_path, capsys, edit, command, name):
+    code, _ = _run_probe(tmp_path, edit, command)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and name in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+def test_overflowing_covariance_is_never_ok(tmp_path):
+    # kB*T = 1.4e277 J: the determinants of the covariance overflow
+    code, (header, rows) = _run_probe(
+        tmp_path, None, ["sweep", "--axis1", "temperature=1e300"])
+    assert code == 0
+    assert rows
+    assert {r[header.index("status")] for r in rows} == \
+        {"error:PhysicalityError"}

@@ -374,7 +374,7 @@ def _per_cell_columns(spec):
             for axis, value in zip(axes, values):
                 column, _, rate = _EXPERIMENTAL[axis.name]
                 row[column] = value / omega_m if rate else value
-            row.update(evaluate_point(wp, mp, spec.validity_threshold))
+            row.update(evaluate_point(wp, mp))
             for name, value in row.items():
                 columns.setdefault(name, []).append(value)
     return columns

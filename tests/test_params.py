@@ -45,6 +45,23 @@ def test_zero_temperature_gives_zero_occupation():
     assert thermal_phonons(1.0, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("x", [1.0, 700.0, 709.7])
+def test_thermal_phonons_is_the_bose_formula(x):
+    omega_m = TWO_PI * 1e7
+    t = params._HBAR * omega_m / (params._KB * x)
+    assert thermal_phonons(omega_m, t) == \
+        1.0 / math.expm1(params._HBAR * omega_m / (params._KB * t))
+
+
+@pytest.mark.parametrize("t", [1e-6 / 1.5, 1e-7, 1e-9, 1e-300, 1e-310, 5e-324])
+def test_cold_bath_occupation_is_the_exp_limit(t):
+    omega_m = TWO_PI * 1e7
+    kT = params._KB * t
+    expected = math.exp(-params._HBAR * omega_m / kT) if kT else 0.0
+    assert thermal_phonons(omega_m, t) == expected
+    assert thermal_phonons(omega_m, np.array([t])).tolist() == [expected]
+
+
 def test_zero_power_gives_zero_drive(reference_physical):
     mp = derive_model(replace(reference_physical, power=0.0))
     assert mp.E == 0.0

@@ -138,6 +138,14 @@ def test_log_negativity_rejects_unphysical():
         log_negativity(V)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
+@pytest.mark.parametrize("scale", [1e160, 1e300])
+def test_log_negativity_rejects_overflowing_covariance(scale):
+    # the block determinants overflow, Sigma^2 - 4 det V is NaN
+    with pytest.raises(PhysicalityError):
+        log_negativity(scale * np.eye(4))
+
+
 def test_validity_flag_thresholds():
     V = two_mode_squeezed(0.3)
     n_o = occupancies(V)[1]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -356,8 +357,24 @@ def test_every_field_spans_the_grid(default_model):
 
 
 def test_hysteresis_rejects_non_finite_laser_frequency(default_model):
-    with pytest.raises(ValidationError, match="^E: must be finite$"):
+    with pytest.raises(ValidationError,
+                       match="^omega_L: must be finite and positive$"):
         hysteresis(default_model, [0.01, 0.02], math.nan)
+
+
+@pytest.mark.parametrize("name,omega_L,kappa_sign", [
+    ("omega_L", 0.0, 1.0), ("omega_L", -1.0, 1.0), ("omega_L", math.inf, 1.0),
+    ("kappa", 1.0, -1.0),
+])
+def test_hysteresis_names_its_bad_input(default_model, default_physical,
+                                        name, omega_L, kappa_sign):
+    omega_L *= laser_frequency(default_physical.wavelength)
+    mp = replace(default_model, kappa=kappa_sign * default_model.kappa)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError,
+                           match=f"^{name}: must be finite and positive$"):
+            hysteresis(mp, [0.0, 0.01], omega_L)
 
 
 def test_single_root_labels_follow_the_turning_points(default_model,
