@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__, harness, quantum, steady
+from . import __version__, harness, quantum
 from .errors import (
     IllConditionedError,
     IntegrationError,
@@ -96,32 +96,25 @@ def _load_physical(args):
 
 
 def _cmd_steady(args) -> int:
-    physical = _load_physical(args)
-    mp = derive_model(physical)
-    points = harness._point_columns(steady._solve_grid(mp), mp)
-    columns = {"P_in_W": [physical.power] * len(points["q_s"]), **points}
-    result = harness.SweepResult(columns, meta={
-        "kappa_over_wm": repr(mp.kappa / mp.omega_m),
-        "nbar": repr(mp.nbar),
-    })
+    result = harness.steady_table(_load_physical(args))
     path = harness.write_csv(result, args.out / "steady.csv", __version__)
-    for branch, q_s, photons, delta, _, eta, stable in zip(*points.values()):
-        print(f"{branch:>6}: q_s={q_s:.6e} photons={photons:.6e} "
-              f"Delta={delta:.4f} wm  eta={eta:.4f} stable={stable}")
+    line = ("{branch:>6}: q_s={q_s:.6e} photons={photons:.6e} "
+            "Delta={Delta_over_wm:.4f} wm  eta={eta:.4f} stable={stable}")
+    for row in zip(*result.columns.values()):
+        print(line.format_map(dict(zip(result.columns, row))))
     print(f"wrote {path}")
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     physical = _load_physical(args)
-    mp = derive_model(physical)
     n_default = args.grid if args.grid is not None else 101
-    axis1 = _parse_axis(args.axis1, n_default, mp.omega_m)
+    axis1 = _parse_axis(args.axis1, n_default, physical.omega_m)
     axis2 = None
     if args.axis2 is not None:
-        axis2 = _parse_axis(args.axis2, n_default, mp.omega_m)
-    spec = harness.SweepSpec(base=mp, physical=physical, axis1=axis1,
-                             axis2=axis2, branch=args.branch)
+        axis2 = _parse_axis(args.axis2, n_default, physical.omega_m)
+    spec = harness.SweepSpec(base=physical, axis1=axis1, axis2=axis2,
+                             branch=args.branch)
     result = harness.sweep(spec)
     path = harness.write_csv(result, args.out / "sweep.csv", __version__)
     print(f"wrote {path} ({len(result.columns['status'])} rows)")

@@ -96,11 +96,10 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    base: ModelParams
+    base: PhysicalParams | ModelParams  # a ModelParams: theoretical axes only
     axis1: AxisSpec
     axis2: AxisSpec | None = None
     branch: str = "both"
-    physical: PhysicalParams | None = None
 
 
 @dataclass
@@ -152,9 +151,9 @@ def validate_spec(spec: SweepSpec) -> None:
         raise ValidationError(
             "axes: experimental and theoretical axes cannot be mixed "
             f"({experimental[0]} vs {theoretical[0]})")
-    if experimental and spec.physical is None:
+    if experimental and not isinstance(spec.base, PhysicalParams):
         raise ValidationError(
-            f"physical: required for the {experimental[0]} axis")
+            f"axes: the {experimental[0]} axis needs PhysicalParams")
     if theoretical and set(theoretical) == {"effective_detuning"}:
         raise ValidationError(
             "axes: an effective_detuning sweep needs an eta or coupling axis "
@@ -171,17 +170,19 @@ def _point_fields(wp, mp: ModelParams) -> dict:
         wp.G / mp.omega_m, wp.eta, wp.stable)))
 
 
-def _point_columns(t: steady.RootTable, mp: ModelParams) -> dict[str, list]:
-    """``_point_fields`` of every root of a root table, as column lists."""
-    return {name: v.tolist() if isinstance(v, np.ndarray) else v
-            for name, v in _point_fields(t, mp).items()}
+def _root_columns(powers, t: steady.RootTable, mp: ModelParams) -> dict:
+    """P_in_W (``powers`` per model) and ``_point_fields`` of every root."""
+    return {"P_in_W": np.array(powers)[t.model].tolist(),
+            **{name: v.tolist() if isinstance(v, np.ndarray) else v
+               for name, v in _point_fields(t, mp).items()}}
 
 
 def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams) -> dict:
     """One pipeline row: steady-state point -> covariance -> observables.
 
-    Unstable, marginal, degenerate and ill-conditioned points keep their
-    steady-state fields but carry no covariance-derived values.
+    Unstable, marginal, degenerate, ill-conditioned and failed points keep
+    their steady-state fields but carry no covariance-derived values; any
+    other exception of the covariance chain is an ``error:<Type>`` status.
     """
     row = {**_point_fields(wp, mp), **dict.fromkeys(_COVARIANCE_COLUMNS)}
     if wp.degenerate:
@@ -190,17 +191,20 @@ def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams) -> dict:
     if not wp.stable:
         row["status"] = STATUS_UNSTABLE
         return row
-    A = dynamics.drift_from_rates(wp.delta, wp.G, mp.kappa, mp.omega_m,
-                                  mp.gamma_m)
-    if dynamics.decay_rate(A) < dynamics.MARGINAL_DECAY_FRACTION * mp.omega_m:
-        row["status"] = STATUS_MARGINAL
-        return row
     try:
+        A = dynamics.drift_from_rates(wp.delta, wp.G, mp.kappa, mp.omega_m,
+                                      mp.gamma_m)
+        if dynamics.decay_rate(A) < dynamics.MARGINAL_DECAY_FRACTION * mp.omega_m:
+            row["status"] = STATUS_MARGINAL
+            return row
         V = dynamics.solve_lyapunov(A, dynamics.diffusion_matrix(mp))
+        report = quantum.log_negativity(V, photons=wp.photons)
     except IllConditionedError:
         row["status"] = STATUS_CONDITIONING
         return row
-    report = quantum.log_negativity(V, photons=wp.photons)
+    except Exception as exc:  # failures are data, not aborts
+        row["status"] = f"{STATUS_ERROR}:{type(exc).__name__}"
+        return row
     row.update({
         "n_m": report.n_m,
         "n_o": report.n_o,
@@ -235,18 +239,17 @@ def _synthetic_point(mp: ModelParams,
     return steady.working_point_from_coupling(mp, values["coupling"], delta)
 
 
-def _cell_points(spec: SweepSpec, axes: tuple[AxisSpec, ...], cells: list
+def _cell_points(spec: SweepSpec, mp: ModelParams, axes: tuple, cells: list
                  ) -> list[tuple[ModelParams, list[steady.WorkingPoint]]]:
     """Per cell, its model and the working points it emits rows for.
 
-    Theoretical axes prescribe one synthetic point per cell. Experimental
-    axes derive one grid model, ``axes[k]`` on dimension k (its C order is
-    the cell order), and solve it in one ``steady_states_grid`` call.
+    Theoretical axes prescribe one synthetic point of ``mp`` per cell.
+    Experimental axes derive one grid model, ``axes[k]`` on dimension k (its
+    C order is the cell order), and solve it in one ``steady_states_grid`` call.
     """
     if axes[0].name in THEORETICAL_AXES:
-        return [(spec.base, [_synthetic_point(spec.base, values)])
-                for values in cells]
-    grid = derive_model(replace(spec.physical, **dict(zip(
+        return [(mp, [_synthetic_point(mp, values)]) for values in cells]
+    grid = derive_model(replace(spec.base, **dict(zip(
         (_AXES[a.name].field for a in axes), np.ix_(*(a.values for a in axes))))))
     models = [ModelParams(*cell) for cell in zip(*(
         a.ravel().tolist() for a in np.broadcast_arrays(*vars(grid).values())))]
@@ -257,6 +260,7 @@ def _cell_points(spec: SweepSpec, axes: tuple[AxisSpec, ...], cells: list
 def sweep(spec: SweepSpec) -> SweepResult:
     """Run the pipeline over the grid; row order is axis2-major, then
     axis1, then branch. Deterministic for a given spec."""
+    mp = spec.base if isinstance(spec.base, ModelParams) else derive_model(spec.base)
     validate_spec(spec)
     axes = (spec.axis1,) if spec.axis2 is None else (spec.axis2, spec.axis1)
     names = [axis.name for axis in axes]
@@ -265,33 +269,27 @@ def sweep(spec: SweepSpec) -> SweepResult:
     columns = {column: [] for column in
                (*(_AXES[name].column for name in names), *_ROW_COLUMNS)}
 
-    for values, (mp, selected) in zip(cells, _cell_points(spec, axes, cells)):
+    for values, (cell, selected) in zip(cells, _cell_points(spec, mp, axes, cells)):
         for wp in selected:
-            try:
-                row = evaluate_point(wp, mp)
-            except Exception as exc:  # failures are data, not aborts
-                row = {**_point_fields(wp, mp),
-                       **dict.fromkeys(_COVARIANCE_COLUMNS),
-                       "status": f"{STATUS_ERROR}:{type(exc).__name__}"}
+            row = evaluate_point(wp, cell)
             for name, value in values.items():
                 column, _, rate, _ = _AXES[name]
-                columns[column].append(
-                    value / spec.base.omega_m if rate else value)
+                columns[column].append(value / mp.omega_m if rate else value)
             for name in _ROW_COLUMNS:
                 columns[name].append(row[name])
 
     meta = {
         "axis1": f"{spec.axis1.name}[{len(spec.axis1.values)}]",
         "branch": spec.branch,
-        "kappa_over_wm": repr(spec.base.kappa / spec.base.omega_m),
-        "gamma_over_wm": repr(spec.base.gamma_m / spec.base.omega_m),
+        "kappa_over_wm": repr(mp.kappa / mp.omega_m),
+        "gamma_over_wm": repr(mp.gamma_m / mp.omega_m),
         "validity_threshold": repr(quantum.VALIDITY_THRESHOLD),
     }
     if spec.axis2 is not None:
         meta["axis2"] = f"{spec.axis2.name}[{len(spec.axis2.values)}]"
     # a temperature axis sets nbar per row, and its T_K column carries it
     if "temperature" not in cells[0]:
-        meta["nbar"] = repr(spec.base.nbar)
+        meta["nbar"] = repr(mp.nbar)
     return SweepResult(columns, meta)
 
 
@@ -363,8 +361,7 @@ def _hysteresis_rows(trace: steady.HysteresisTrace,
     # a model's roots are contiguous: the up-sweep is on its first root,
     # the down-sweep on its last
     end, index = np.cumsum(t.count)[t.model], np.arange(len(t.model))
-    columns = {"P_in_W": np.array(trace.powers)[t.model].tolist(),
-               **_point_columns(t, mp),
+    columns = {**_root_columns(trace.powers, t, mp),
                "on_up_sweep": (index == end - t.count[t.model]).tolist(),
                "on_down_sweep": (index == end - 1).tolist()}
     meta = {
@@ -373,6 +370,14 @@ def _hysteresis_rows(trace: steady.HysteresisTrace,
         "kappa_over_wm": repr(mp.kappa / mp.omega_m),
     }
     return SweepResult(columns, meta)
+
+
+def steady_table(physical: PhysicalParams) -> SweepResult:
+    """The ``steady`` command's table: every root at the configured power."""
+    mp = derive_model(physical)
+    columns = _root_columns([physical.power], steady._solve_grid(mp), mp)
+    return SweepResult(columns, {"kappa_over_wm": repr(mp.kappa / mp.omega_m),
+                                 "nbar": repr(mp.nbar)})
 
 
 def _default_power_grid(mp: ModelParams, omega_L: float, fallback: float,
@@ -429,6 +434,6 @@ def figure_command(fig_id: str, physical: PhysicalParams, out_dir,
             if fig_id == "fig6":
                 axis2 = AxisSpec("temperature", (0.4, 5.0, 10.0))
             branch = "both"
-        result = sweep(SweepSpec(base=mp, physical=physical, axis1=axis1,
-                                 axis2=axis2, branch=branch))
+        result = sweep(SweepSpec(base=physical, axis1=axis1, axis2=axis2,
+                                 branch=branch))
     return [write_csv(result, out_dir / f"{fig_id}.csv", version, timestamp)]

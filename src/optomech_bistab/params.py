@@ -145,7 +145,8 @@ def cavity_decay(cavity_length: float, finesse: float) -> float:
 
 def drive_amplitude(power: float, kappa: float, omega_L: float) -> float:
     """Drive amplitude sqrt(2*P*kappa/(hbar*omega_L)), also of arrays."""
-    e2 = 2.0 * power * kappa / (_HBAR * omega_L)
+    with np.errstate(over="ignore"):  # derive_model names an infinite drive
+        e2 = 2.0 * power * kappa / (_HBAR * omega_L)
     return np.sqrt(e2) if isinstance(e2, np.ndarray) else math.sqrt(e2)
 
 
@@ -155,21 +156,51 @@ def drive_power(e2: float, kappa: float, omega_L: float) -> float:
     return _HBAR * omega_L * e2 / (2.0 * kappa)
 
 
+def _check_cubic_range(p: PhysicalParams, kappa, g0, drive) -> None:
+    """Name the inputs of a derived rate that the steady-state cubic
+    (``steady``) cannot take. Divided by its leading coefficient omega_m*G0^2,
+    the cubic has coefficients of order (kappa^2 + delta0^2)/G0^2 and
+    E^2/(omega_m*G0); its closed-form roots take the cube of the first and
+    the square of the second. Undriven and decoupled models solve no cubic,
+    and a kappa or delta0 whose own square overflows is named by the cubic.
+    """
+    kappa, g0, drive = (np.asarray(x, dtype=float) for x in (kappa, g0, drive))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore",
+                     under="ignore"):
+        rates = kappa * kappa + np.square(p.delta0)
+        solved = np.isfinite(rates) & (g0 != 0) & (drive != 0)
+        coupling = np.isfinite(p.omega_m * g0 * g0) \
+            & np.isfinite((rates / (g0 * g0)) ** 3)
+        driven = np.isfinite(g0 * drive * drive) \
+            & np.isfinite((drive * drive / (p.omega_m * g0)) ** 2)
+    _require(np.all(coupling | ~solved), "cavity_length, mass, omega_m, "
+             "wavelength", "out of range, the coupling G0 they give overflows "
+             "the steady-state cubic (with kappa and delta0)")
+    _require(np.all(driven | ~solved), "power",
+             "too large, the drive amplitude E overflows the steady-state cubic")
+
+
 def derive_model(p: PhysicalParams) -> ModelParams:
     """Derive the model constants from experiment-level inputs.
 
     Raises ValidationError naming the offending field on non-finite or
-    out-of-range inputs. Power, delta0 and temperature may be numpy arrays,
-    checked elementwise; the fields then broadcast over a sweep grid, each
-    element bit-identical to the scalar derivation (only + - * / sqrt).
+    out-of-range inputs, also where a derived value would overflow: the
+    photon energy hbar*omega_L or the steady-state cubic (see
+    ``_check_cubic_range``). Power, delta0 and temperature may be numpy
+    arrays, checked elementwise; the fields then broadcast over a sweep grid,
+    each element bit-identical to the scalar derivation (only + - * / sqrt).
     """
     _check_physical(p)
     omega_L = laser_frequency(p.wavelength)
+    _require(math.isfinite(omega_L) and _HBAR * omega_L > 0, "wavelength",
+             "out of range, the photon energy hbar*2*pi*c/wavelength is not "
+             "a finite positive number")
     omega_c = omega_L + p.delta0
     kappa = p.kappa_override if p.kappa_override is not None \
         else cavity_decay(p.cavity_length, p.finesse)
     g0 = (omega_c / p.cavity_length) * math.sqrt(_HBAR / (p.mass * p.omega_m))
     drive = drive_amplitude(p.power, kappa, omega_L)
+    _check_cubic_range(p, kappa, g0, drive)
     return ModelParams(
         kappa=kappa,
         G0=g0,

@@ -78,10 +78,12 @@ def log_negativity(V: np.ndarray, photons: float | None = None,
     symplectic discriminant Sigma^2 - 4 det V or nu_min^2 is negative
     beyond ``slack``, or NaN, as where the determinants of V overflow.
     """
-    det_a, det_b, det_c = np.linalg.det(split_blocks(V))  # stacked: one call
-    sigma = det_a + det_b - 2.0 * det_c
-    det_v = float(np.linalg.det(V))
-    disc = sigma * sigma - 4.0 * det_v
+    # overflowing determinants give a NaN disc, rejected below
+    with np.errstate(over="ignore", invalid="ignore"):
+        det_a, det_b, det_c = np.linalg.det(split_blocks(V))  # stacked: one call
+        sigma = det_a + det_b - 2.0 * det_c
+        det_v = float(np.linalg.det(V))
+        disc = sigma * sigma - 4.0 * det_v
     if not disc >= -slack:  # NaN too: overflowed determinants
         raise PhysicalityError(
             f"Sigma^2 - 4 det V = {disc:.3e}, not >= 0 within slack; "

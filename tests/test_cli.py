@@ -52,8 +52,15 @@ def test_steady_writes_csv(tmp_path, config_file, capsys):
     header = next(l for l in lines if not l.startswith("#"))
     assert header == ("P_in_W,branch,q_s,photons,Delta_over_wm,"
                       "G_over_wm,eta,stable")
-    out = capsys.readouterr().out
-    assert "lower" in out and "middle" in out and "upper" in out
+    assert capsys.readouterr().out.splitlines() == [
+        " lower: q_s=5.525973e+04 photons=2.576973e+09 Delta=1.4350 wm  "
+        "eta=0.1539 stable=True",
+        "middle: q_s=8.044402e+04 photons=3.751413e+09 Delta=0.8950 wm  "
+        "eta=-0.1183 stable=False",
+        " upper: q_s=1.086575e+05 photons=5.067118e+09 Delta=0.2900 wm  "
+        "eta=0.3389 stable=True",
+        f"wrote {tmp_path / 'out' / 'steady.csv'}",
+    ]
 
 
 def test_sweep_command(tmp_path, config_file):
@@ -227,7 +234,9 @@ def _run_probe(tmp_path, edit, command):
     path = tmp_path / "edge.cfg"
     path.write_text(config)
     out = tmp_path / "out"
-    code = main(command + ["--config", str(path), "--out", str(out)])
+    # optima writes no file and takes no --out
+    code = main(command + ["--config", str(path)]
+                + ([] if command[0] == "optima" else ["--out", str(out)]))
     csvs = list(out.glob("*.csv"))
     if not csvs:
         return code, None
@@ -246,8 +255,9 @@ def test_edge_inputs_end_in_status_rows(tmp_path, edit, command):
 
 
 # inputs that overflow a double on the way to a steady state (a square,
-# the coupling backed out of eta, the cubic's coefficients): each must end
-# in exit 2 with an error naming an input, never in a traceback
+# the coupling backed out of eta, the photon energy, the cubic's
+# coefficients and its closed-form roots): each must end in exit 2 with an
+# error naming an input, never in a traceback or a warning
 OVERFLOW_PROBES = [
     (None, ["sweep", "--axis1", "eta=-1e300", "--axis2", "effective_detuning=1"],
      "eta"),
@@ -264,6 +274,28 @@ OVERFLOW_PROBES = [
     ("bare_detuning = 1e160", ["figure", "fig5a"], "delta0"),
     ("kappa_override = 1e200", ["steady"], "kappa"),
     ("kappa_override = 1e200", ["figure", "fig2"], "kappa"),
+    ("mech_freq = 1e150", ["steady"], "omega_m"),
+    ("mech_freq = 1e150", ["sweep", "--axis1", "power=0.01:0.1:5"], "omega_m"),
+    ("mech_freq = 1e150", ["figure", "fig2"], "omega_m"),
+    ("mech_freq = 1e150", ["figure", "fig4"], "omega_m"),
+    ("mech_freq = 1e150", ["figure", "fig5a"], "omega_m"),
+    ("cavity_length_m = 1e300", ["steady"], "cavity_length"),
+    ("cavity_length_m = 1e300", ["sweep", "--axis1", "power=0.01:0.1:5"],
+     "cavity_length"),
+    ("cavity_length_m = 1e300", ["figure", "fig2"], "cavity_length"),
+    ("cavity_length_m = 1e300", ["figure", "fig4"], "cavity_length"),
+    ("cavity_length_m = 1e300", ["figure", "fig5a"], "cavity_length"),
+    ("cavity_length_m = 1e-300", ["steady"], "cavity_length"),
+    ("cavity_length_m = 1e-300", ["figure", "fig2"], "cavity_length"),
+    *(("wavelength_m = 1e300", command, "wavelength") for command in (
+        ["steady"], ["optima"], ["figure", "fig2"], ["figure", "fig4"],
+        ["figure", "fig5a"], ["sweep", "--axis1", "power=0.01:0.1:5"])),
+    ("wavelength_m = 1e-300", ["steady"], "wavelength"),
+    ("wavelength_m = 1e-300", ["figure", "fig2"], "wavelength"),
+    ("power_W = 1e300", ["steady"], "power"),
+    # a finite drive whose term of the closed-form roots overflows
+    ("power_W = 1e273", ["steady"], "power"),
+    (None, ["sweep", "--axis1", "power=1e200:1e300:3"], "power"),
 ]
 
 
@@ -274,9 +306,9 @@ def test_overflowing_inputs_exit_2(tmp_path, capsys, edit, command, name):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and name in err
+    assert "Warning" not in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
 def test_overflowing_covariance_is_never_ok(tmp_path):
     # kB*T = 1.4e277 J: the determinants of the covariance overflow
     code, (header, rows) = _run_probe(

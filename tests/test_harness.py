@@ -59,7 +59,7 @@ def test_rejects_unknown_axis(default_model):
 
 
 def test_rejects_mixed_axis_families(default_model, default_physical):
-    spec = SweepSpec(base=default_model, physical=default_physical,
+    spec = SweepSpec(base=default_physical,
                      axis1=AxisSpec("power", (0.01, 0.02)),
                      axis2=AxisSpec("eta", (0.1, 0.2)))
     with pytest.raises(ValidationError, match="mixed"):
@@ -69,7 +69,7 @@ def test_rejects_mixed_axis_families(default_model, default_physical):
 def test_rejects_experimental_axis_without_physical(default_model):
     spec = SweepSpec(base=default_model,
                      axis1=AxisSpec("power", (0.01, 0.02)))
-    with pytest.raises(ValidationError, match="physical"):
+    with pytest.raises(ValidationError, match="PhysicalParams"):
         validate_spec(spec)
 
 
@@ -94,9 +94,9 @@ def test_rejects_out_of_range_axis_values(default_model, default_physical):
         SweepSpec(base=default_model,
                   axis1=AxisSpec("eta", (0.5,)),
                   axis2=AxisSpec("effective_detuning", (-1.0, 2.0))),
-        SweepSpec(base=default_model, physical=default_physical,
+        SweepSpec(base=default_physical,
                   axis1=AxisSpec("power", (-0.01, 0.02))),
-        SweepSpec(base=default_model, physical=default_physical,
+        SweepSpec(base=default_physical,
                   axis1=AxisSpec("temperature", (-3.0, 5.0))),
     ]
     for spec in bad:
@@ -115,7 +115,7 @@ def test_rejects_duplicate_axes(default_model):
 # --- single-point behaviour ---------------------------------------------------------
 
 def test_single_point_sweep_decoupled(default_model, default_physical):
-    spec = SweepSpec(base=default_model, physical=default_physical,
+    spec = SweepSpec(base=default_physical,
                      axis1=AxisSpec("power", (0.0,)), branch="both")
     result = sweep(spec)
     assert len(_rows(result)) == 1
@@ -143,6 +143,17 @@ def test_evaluate_point_reports_validity():
     assert row["status"] == "ok"
     assert row["validity_ok"] is False
     assert row["validity_ratio"] > 1.0
+
+
+def test_evaluate_point_records_an_overflowing_covariance(default_model):
+    # nbar ~ 1e300: the determinants of the covariance overflow
+    mp = replace(default_model, nbar=1e300)
+    row = evaluate_point(steady_states(mp)[0], mp)
+    assert row["status"] == "error:PhysicalityError"
+    for name in ("n_m", "n_o", "Sigma", "detV", "E_N", "validity_ratio",
+                 "validity_ok"):
+        assert row[name] is None, name  # written as NaN
+    assert row["stable"] is True and row["branch"] == "lower"
 
 
 # --- ordering and determinism ---------------------------------------------------------
@@ -174,7 +185,7 @@ def test_csv_bodies_identical_excluding_timestamp(tmp_path):
 
 def test_csv_null_marker_for_unstable(tmp_path, default_model, default_physical):
     # span the window so the middle branch shows up with branch="all"
-    spec = SweepSpec(base=default_model, physical=default_physical,
+    spec = SweepSpec(base=default_physical,
                      axis1=AxisSpec("power", (0.057,)), branch="all")
     result = sweep(spec)
     path = write_csv(result, tmp_path / "rows.csv", __version__)
@@ -320,7 +331,7 @@ def test_power_sweep_entanglement_peaks_at_branch_ends(
     p_down, p_up = window
 
     def run(n):
-        spec = SweepSpec(base=default_model, physical=default_physical,
+        spec = SweepSpec(base=default_physical,
                          axis1=AxisSpec("power",
                                         linear_grid(0.5 * p_down,
                                                     0.999 * p_up, n)),
@@ -363,7 +374,7 @@ def _per_cell_columns(spec):
     axes = (spec.axis1,) if spec.axis2 is None else (spec.axis2, spec.axis1)
     columns = {}
     for values in product(*(axis.values for axis in axes)):
-        mp = derive_model(replace(spec.physical, **{
+        mp = derive_model(replace(spec.base, **{
             _EXPERIMENTAL[axis.name][1]: value
             for axis, value in zip(axes, values)}))
         points = steady_states(mp)
@@ -400,7 +411,7 @@ def test_experimental_sweep_equals_per_cell_path(default_model, default_physical
         "bare_detuning": (AxisSpec("bare_detuning",
                                    linear_grid(-2.0 * w, 4.0 * w, 13)), None),
     }[case]
-    spec = SweepSpec(base=default_model, physical=default_physical,
+    spec = SweepSpec(base=default_physical,
                      axis1=axis1, axis2=axis2, branch=branch)
     expected = _per_cell_columns(spec)
     result = sweep(spec)
@@ -408,6 +419,21 @@ def test_experimental_sweep_equals_per_cell_path(default_model, default_physical
     assert "ok" in expected["status"]
     for name, values in result.columns.items():
         assert list(map(repr, values)) == list(map(repr, expected[name])), name
+
+
+def test_sweep_meta_and_rate_columns_come_from_its_model(default_physical):
+    # omega_m doubled and kappa tripled: kappa/omega_m = 1.4 * 3 / 2 = 2.1
+    base = replace(default_physical, omega_m=2.0 * default_physical.omega_m,
+                   kappa_override=3.0 * default_physical.kappa_override)
+    mp = derive_model(base)
+    w = mp.omega_m
+    result = sweep(SweepSpec(base=base, axis1=AxisSpec("power", (0.01, 0.05)),
+                             axis2=AxisSpec("bare_detuning", (2.0 * w, 3.0 * w)),
+                             branch="lower"))
+    assert result.meta["kappa_over_wm"] == repr(mp.kappa / mp.omega_m)
+    assert mp.kappa / mp.omega_m == pytest.approx(2.1)
+    assert result.meta["nbar"] == repr(mp.nbar)
+    assert result.columns["Delta0_over_wm"] == pytest.approx([2.0, 2.0, 3.0, 3.0])
 
 
 def test_experimental_sweep_derives_once(tmp_path, default_physical,

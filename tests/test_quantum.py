@@ -138,7 +138,6 @@ def test_log_negativity_rejects_unphysical():
         log_negativity(V)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf - inf
 @pytest.mark.parametrize("scale", [1e160, 1e300])
 def test_log_negativity_rejects_overflowing_covariance(scale):
     # the block determinants overflow, Sigma^2 - 4 det V is NaN
