@@ -41,7 +41,8 @@ MARGINAL_DECAY_FRACTION = 1e-8
 # Floored at the smallest normal float, as the product underflows to 0
 # for subnormal inputs.
 LYAPUNOV_RESIDUAL_C = 64
-_EPS, _RESIDUAL_FLOOR = np.finfo(float).eps, np.finfo(float).tiny
+_C_EPS = LYAPUNOV_RESIDUAL_C * np.finfo(float).eps
+_RESIDUAL_FLOOR = np.finfo(float).tiny
 
 # packed unknowns: the upper triangle of V, row by row
 _I, _J = np.array([(i, j) for i in range(4) for j in range(i, 4)]).T
@@ -77,8 +78,20 @@ def drift_from_rates(delta: float, G: float, kappa: float,
 
 
 def diffusion_matrix(mp: "ModelParams") -> np.ndarray:
-    """Noise-strength matrix diag(0, gamma_m*(2*nbar+1), kappa, kappa)."""
-    return np.diag([0.0, mp.gamma_m * (2.0 * mp.nbar + 1.0), mp.kappa, mp.kappa])
+    """Noise-strength matrix diag(0, gamma_m*(2*nbar+1), kappa, kappa).
+
+    A model whose gamma_m, nbar and kappa are equal-length 1-D arrays
+    gives the stack (N, 4, 4).
+    """
+    zero, kappa = 0.0 * abs(mp.kappa), mp.kappa
+    thermal = mp.gamma_m * (2.0 * mp.nbar + 1.0)
+    D = np.array([
+        [zero, zero, zero, zero],
+        [zero, thermal, zero, zero],
+        [zero, zero, kappa, zero],
+        [zero, zero, zero, kappa],
+    ])
+    return D if D.ndim == 2 else D.transpose(2, 0, 1)
 
 
 def is_stable_rh(delta: float, G: float, kappa: float, omega_m: float) -> bool:
@@ -102,9 +115,11 @@ def is_stable_spectral(A: np.ndarray) -> bool | list[bool]:
     return (np.linalg.eigvals(A).real.max(axis=-1) < 0.0).tolist()
 
 
-def decay_rate(A: np.ndarray) -> float:
-    """Slowest decay rate -max Re(eig A); negative if A is unstable."""
-    return float(-np.linalg.eigvals(A).real.max())
+def decay_rate(A: np.ndarray) -> float | np.ndarray:
+    """Slowest decay rate -max Re(eig A); negative if A is unstable. A
+    stack (N, 4, 4) gives the array of N rates from one eigenvalue call."""
+    rate = -np.linalg.eigvals(A).real.max(-1)
+    return rate if rate.ndim else float(rate)
 
 
 def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
@@ -121,28 +136,47 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     default model with kappa and Delta in [0.05, 3] and [0.02, 3] omega_m
     and eta log-uniform in [1e-8, 1] the residual stays below 2.5 * eps *
     max|A| * max|V|.
+
+    Stacks A and D (N, 4, 4) give the stack of V, each matrix solved on
+    its own. A row where the one-matrix call would raise is NaN; rows that
+    fail the eigenvalue tests are taken out before the stacked solve, so
+    that it never meets a singular system.
     """
     eig = np.linalg.eigvals(A)
-    worst = eig[np.argmax(eig.real)]
-    if worst.real >= 0.0:
-        raise UnstableSystemError(worst)
-    pair_sums = np.abs(eig[:, None] + eig[None, :])
-    scale = np.abs(eig).max()
-    if pair_sums.min() < 1e-12 * scale:
-        raise IllConditionedError(
-            f"eigenvalue pair sums to ~0 (min |l_i + l_j| = {pair_sums.min():.3e})")
+    worst = eig.real.max(-1)
+    pair_min = np.abs(eig[..., :, None] + eig[..., None, :]).min(axis=(-2, -1))
+    near_zero = pair_min < 1e-12 * np.abs(eig).max(-1)
+    if A.ndim == 2:
+        if worst >= 0.0:
+            raise UnstableSystemError(eig[np.argmax(eig.real)])
+        if near_zero:
+            raise IllConditionedError(
+                f"eigenvalue pair sums to ~0 (min |l_i + l_j| = {pair_min:.3e})")
+        V = np.linalg.solve((_MAP @ A.ravel()).reshape(10, 10), -D[_I, _J])[_PACKED]
+        residual, bound = _residual_bound(A, V, D)
+        if not residual <= bound:
+            raise IllConditionedError(
+                f"Lyapunov residual {residual:.3e} exceeds {bound:.3e}")
+        return V
 
-    M = (_MAP @ A.ravel()).reshape(10, 10)
-    x = np.linalg.solve(M, -D[_I, _J])
-    V = x[_PACKED]
+    out = np.full(A.shape, np.nan)
+    rows = np.flatnonzero((worst < 0.0) & ~near_zero)
+    A, D = A[rows], D[rows]
+    M = (A.reshape(-1, 16) @ _MAP.T).reshape(-1, 10, 10)
+    V = np.linalg.solve(M, -D[:, _I, _J, None])[:, _PACKED, 0]
+    residual, bound = _residual_bound(A, V, D)
+    out[rows[residual <= bound]] = V[residual <= bound]
+    return out
 
-    residual = np.abs(A @ V + V @ A.T + D).max()
-    bound = max(LYAPUNOV_RESIDUAL_C * _EPS * np.abs(A).max()
-                * np.abs(V).max(), _RESIDUAL_FLOOR)
-    if not residual <= bound:
-        raise IllConditionedError(
-            f"Lyapunov residual {residual:.3e} exceeds {bound:.3e}")
-    return V
+
+def _residual_bound(A: np.ndarray, V: np.ndarray, D: np.ndarray) -> tuple:
+    """max|A V + V A^T + D| and its bound, of one matrix or per matrix of
+    a stack."""
+    axes = (-2, -1) if A.ndim == 3 else None
+    residual = np.abs(A @ V + V @ A.swapaxes(-1, -2) + D).max(axis=axes)
+    bound = np.maximum(_C_EPS * np.abs(A).max(axis=axes)
+                       * np.abs(V).max(axis=axes), _RESIDUAL_FLOOR)
+    return residual, bound
 
 
 def integrate_lyapunov(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
@@ -182,8 +216,9 @@ def integrate_lyapunov(A: np.ndarray, D: np.ndarray, V0: np.ndarray,
 
 
 def split_blocks(V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(mechanical, optical, cross) 2x2 blocks of the covariance matrix."""
-    return V[:2, :2], V[2:, 2:], V[:2, 2:]
+    """(mechanical, optical, cross) 2x2 blocks of the covariance matrix,
+    or of each matrix of a stack (N, 4, 4)."""
+    return V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]
 
 
 def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:

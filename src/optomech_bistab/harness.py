@@ -1,8 +1,9 @@
-"""Parameter sweeps, figure reproduction and CSV emission.
+"""Parameter sweeps and figure reproduction; ``csvfile`` writes their CSV.
 
 Two families of sweep axes are supported. Experimental axes (power,
-bare_detuning, temperature) derive the whole grid's models in one call
-and solve their steady-state cubics in one pass. Theoretical axes
+bare_detuning, temperature) derive the whole grid's models in one call,
+solve their steady-state cubics in one pass and evaluate the covariance
+chain of the selected roots on stacks. Theoretical axes
 (effective_detuning, eta, coupling) prescribe the linearization inputs
 directly, inverting the bistability parameter for the coupling when eta
 is swept; they cannot be mixed with experimental axes in one sweep.
@@ -13,17 +14,17 @@ recorded in the ``status`` column and never abort a sweep.
 
 from __future__ import annotations
 
-import datetime
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from itertools import product, tee
+from itertools import chain, product
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics, quantum, steady
-from .errors import IllConditionedError, ValidationError
+from .csvfile import write_csv
+from .errors import IllConditionedError, PhysicalityError, ValidationError
 from .params import (
     ModelParams,
     PhysicalParams,
@@ -177,6 +178,15 @@ def _root_columns(powers, t: steady.RootTable, mp: ModelParams) -> dict:
                for name, v in _point_fields(t, mp).items()}}
 
 
+def _report_fields(report: quantum.EntanglementReport) -> dict:
+    """The covariance-derived fields of a CSV row, in ``_COVARIANCE_COLUMNS``
+    order; numbers, or arrays for a stacked report."""
+    return {"n_m": report.n_m, "n_o": report.n_o, "Sigma": report.sigma,
+            "detV": report.det_v, "E_N": report.e_n,
+            "validity_ratio": report.validity_ratio,
+            "validity_ok": report.validity_ok}
+
+
 def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams) -> dict:
     """One pipeline row: steady-state point -> covariance -> observables.
 
@@ -205,56 +215,76 @@ def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams) -> dict:
     except Exception as exc:  # failures are data, not aborts
         row["status"] = f"{STATUS_ERROR}:{type(exc).__name__}"
         return row
-    row.update({
-        "n_m": report.n_m,
-        "n_o": report.n_o,
-        "Sigma": report.sigma,
-        "detV": report.det_v,
-        "E_N": report.e_n,
-        "validity_ratio": report.validity_ratio,
-        "validity_ok": report.validity_ok,
-        "status": STATUS_OK,
-    })
+    row.update(_report_fields(report))
+    row["status"] = STATUS_OK
     return row
 
 
-def _select_branch(points: list[steady.WorkingPoint],
-                   branch: str) -> list[steady.WorkingPoint]:
-    if branch == "all":
-        return list(points)
-    if branch == "lower":
-        return [points[0]]
-    if branch == "upper":
-        return [points[-1]]
-    if len(points) == 1:
-        return [points[0]]
-    return [points[0], points[-1]]
+def _theoretical_rows(mp: ModelParams, axes: tuple) -> tuple:
+    """One synthetic point of ``mp`` and one ``evaluate_point`` row per cell;
+    returns the cell index of each row and the row columns."""
+    rows = []
+    for values in product(*(axis.values for axis in axes)):
+        cell = dict(zip((axis.name for axis in axes), values))
+        delta = cell.get("effective_detuning", mp.delta0)
+        wp = (steady.working_point_from_eta(mp, cell["eta"], delta) if "eta" in cell
+              else steady.working_point_from_coupling(mp, cell["coupling"], delta))
+        rows.append(evaluate_point(wp, mp))
+    return np.arange(len(rows)), {name: [row[name] for row in rows]
+                                  for name in _ROW_COLUMNS}
 
 
-def _synthetic_point(mp: ModelParams,
-                     values: dict[str, float]) -> steady.WorkingPoint:
-    delta = values.get("effective_detuning", mp.delta0)
-    if "eta" in values:
-        return steady.working_point_from_eta(mp, values["eta"], delta)
-    return steady.working_point_from_coupling(mp, values["coupling"], delta)
+# live rows per stacked pass of the covariance chain; each matrix is solved
+# on its own, so the chunk size changes no bit of a row
+_CHUNK_ROWS = 4096
 
 
-def _cell_points(spec: SweepSpec, mp: ModelParams, axes: tuple, cells: list
-                 ) -> list[tuple[ModelParams, list[steady.WorkingPoint]]]:
-    """Per cell, its model and the working points it emits rows for.
+def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
+    """All rows of an experimental sweep in one array pass; returns the cell
+    index of each row and the row columns.
 
-    Theoretical axes prescribe one synthetic point of ``mp`` per cell.
-    Experimental axes derive one grid model, ``axes[k]`` on dimension k (its
-    C order is the cell order), and solve it in one ``steady_states_grid`` call.
+    One grid model, ``axes[k]`` on dimension k (its C order is the cell
+    order), and its root table give the steady-state fields. A model's
+    roots are contiguous and ascending, so the branch pick is an index per
+    model. The covariance chain of the stable, non-degenerate rows runs on
+    stacks of at most ``_CHUNK_ROWS`` rows (``quantum.covariance_rows``),
+    and its masks give the statuses ``evaluate_point`` gives. A chunk whose
+    stacked call raises runs row by row through ``evaluate_point``.
     """
-    if axes[0].name in THEORETICAL_AXES:
-        return [(mp, [_synthetic_point(mp, values)]) for values in cells]
+    shape = tuple(len(axis.values) for axis in axes)
     grid = derive_model(replace(spec.base, **dict(zip(
         (_AXES[a.name].field for a in axes), np.ix_(*(a.values for a in axes))))))
-    models = [ModelParams(*cell) for cell in zip(*(
-        a.ravel().tolist() for a in np.broadcast_arrays(*vars(grid).values())))]
-    return [(mp, _select_branch(points, spec.branch))
-            for mp, points in zip(models, steady.steady_states_grid(grid))]
+    t = steady._solve_grid(grid)
+    roots = steady.branch_roots(t, spec.branch)
+    cells = t.model[roots]
+    row = {name: np.asarray(v)[roots] for name, v in _point_fields(t, mp).items()}
+    row.update((name, np.full(len(roots), None)) for name in _COVARIANCE_COLUMNS)
+    row["status"] = np.full(len(roots), STATUS_OK, dtype=object)
+    row["status"][~row["stable"]] = STATUS_UNSTABLE
+    row["status"][t.degenerate[roots]] = STATUS_DEGENERATE
+    # every row's model: the grid's fields, broadcast and picked per row
+    model = [np.broadcast_to(v, shape).ravel()[cells] for v in vars(grid).values()]
+    live = np.flatnonzero(row["stable"] & ~t.degenerate[roots])
+    for r in np.split(live, range(_CHUNK_ROWS, len(live), _CHUNK_ROWS)):
+        try:
+            marginal, conditioning, report = quantum.covariance_rows(
+                *(x[roots[r]] for x in (t.delta, t.G, t.photons)),
+                ModelParams(*(field[r] for field in model)))
+        except Exception:  # row by row, for the statuses of the one-row path
+            points = list(chain(*steady._working_points(t)))
+            for i in r.tolist():
+                values = evaluate_point(points[roots[i]], ModelParams(
+                    *(field[i].item() for field in model)))
+                for name in (*_COVARIANCE_COLUMNS, "status"):
+                    row[name][i] = values[name]
+            continue
+        ok = ~np.isnan(report.e_n)
+        row["status"][r[~ok]] = f"{STATUS_ERROR}:{PhysicalityError.__name__}"
+        row["status"][r[conditioning]] = STATUS_CONDITIONING
+        row["status"][r[marginal]] = STATUS_MARGINAL
+        for name, values in _report_fields(report).items():
+            row[name][r[ok]] = values[ok]
+    return cells, {name: row[name].tolist() for name in _ROW_COLUMNS}
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
@@ -263,20 +293,15 @@ def sweep(spec: SweepSpec) -> SweepResult:
     mp = spec.base if isinstance(spec.base, ModelParams) else derive_model(spec.base)
     validate_spec(spec)
     axes = (spec.axis1,) if spec.axis2 is None else (spec.axis2, spec.axis1)
-    names = [axis.name for axis in axes]
-    cells = [dict(zip(names, values))
-             for values in product(*(axis.values for axis in axes))]
-    columns = {column: [] for column in
-               (*(_AXES[name].column for name in names), *_ROW_COLUMNS)}
-
-    for values, (cell, selected) in zip(cells, _cell_points(spec, mp, axes, cells)):
-        for wp in selected:
-            row = evaluate_point(wp, cell)
-            for name, value in values.items():
-                column, _, rate, _ = _AXES[name]
-                columns[column].append(value / mp.omega_m if rate else value)
-            for name in _ROW_COLUMNS:
-                columns[name].append(row[name])
+    cells, rows = (_theoretical_rows(mp, axes) if axes[0].name in THEORETICAL_AXES
+                   else _experimental_rows(spec, mp, axes))
+    columns = {}
+    for axis, index in zip(axes, np.unravel_index(
+            cells, tuple(len(axis.values) for axis in axes))):
+        column, _, rate, _ = _AXES[axis.name]
+        values = np.array(axis.values, dtype=float)[index]
+        columns[column] = (values / mp.omega_m if rate else values).tolist()
+    columns.update(rows)
 
     meta = {
         "axis1": f"{spec.axis1.name}[{len(spec.axis1.values)}]",
@@ -288,62 +313,9 @@ def sweep(spec: SweepSpec) -> SweepResult:
     if spec.axis2 is not None:
         meta["axis2"] = f"{spec.axis2.name}[{len(spec.axis2.values)}]"
     # a temperature axis sets nbar per row, and its T_K column carries it
-    if "temperature" not in cells[0]:
+    if all(axis.name != "temperature" for axis in axes):
         meta["nbar"] = repr(mp.nbar)
     return SweepResult(columns, meta)
-
-
-# cell text of None and the bools, and the fix-up of repr's None and NaN
-_WORDS = {None: "NaN", True: "1", False: "0"}
-_NAN_TEXT = {"None": "NaN", "nan": "NaN"}
-
-
-def _column_cells(name: str, values: list):
-    """CSV cells of one column: strings verbatim, bools as 1/0, None and
-    NaN as NaN, any other value as repr(float(value)). Float cells come
-    lazily, so that the writer holds no more than a row of them at once."""
-    kinds = set(map(type, values))
-    if not kinds <= {float, str, bool, type(None)}:
-        values = [v if v is None or isinstance(v, bool) else str.__str__(v)
-                  if isinstance(v, str) else float(v) for v in values]
-        kinds = set(map(type, values))
-    if kinds <= {float, type(None)}:  # repr holds no comma or line break
-        text, again = tee(map(repr, values))
-        return map(_NAN_TEXT.get, text, again)
-    if kinds <= {str, bool, type(None)}:  # no key of _WORDS equals a str
-        cells = list(map(_WORDS.get, values, values))
-    else:  # floats among words
-        cells = [c for v in values for c in _column_cells(name, [v])]
-    joined = "".join(cells)
-    if "," in joined or "\n" in joined or "\r" in joined:
-        raise ValueError(f"write_csv: column {name!r} holds a comma or a "
-                         "line break, which is not quoted")
-    return cells
-
-
-def write_csv(result: SweepResult, path, version: str,
-              timestamp: str | None = None) -> Path:
-    """Write a sweep result; only the first (timestamp) line varies
-    between identical runs. Cells are not quoted: a string cell holding a
-    comma or a line break raises ValueError naming its column, as do
-    columns of unequal length. A rejected result touches no file."""
-    path = Path(path)
-    if timestamp is None:
-        timestamp = datetime.datetime.now(datetime.timezone.utc) \
-            .strftime("%Y-%m-%dT%H:%M:%SZ")
-    lengths = {name: len(values) for name, values in result.columns.items()}
-    if len(set(lengths.values())) > 1:
-        raise ValueError(f"write_csv: columns of unequal length {lengths}")
-    cells = [_column_cells(name, values)
-             for name, values in result.columns.items()]
-    head = [f"# optomech-bistab v{version} {timestamp}"]
-    head += [f"# {key}={result.meta[key]}" for key in sorted(result.meta)]
-    head.append(",".join(result.columns))
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as f:
-        f.write("\n".join(head) + "\n")
-        f.writelines(",".join(line) + "\n" for line in zip(*cells))
-    return path
 
 
 def linear_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:

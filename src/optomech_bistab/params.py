@@ -163,8 +163,13 @@ def _check_cubic_range(p: PhysicalParams, kappa, g0, drive) -> None:
     E^2/(omega_m*G0); its closed-form roots take the cube of the first and
     the square of the second. Undriven and decoupled models solve no cubic,
     and a kappa or delta0 whose own square overflows is named by the cubic.
+    An infinite drive E is named by power and the inputs of kappa.
     """
     kappa, g0, drive = (np.asarray(x, dtype=float) for x in (kappa, g0, drive))
+    # E = sqrt(2*P*kappa/(hbar*omega_L)): name the inputs of kappa too
+    _require(np.all(np.isfinite(drive)), "power, " + (
+        "cavity_length, finesse" if p.kappa_override is None else "kappa_override"),
+        "too large, the drive amplitude E they give overflows")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore",
                      under="ignore"):
         rates = kappa * kappa + np.square(p.delta0)
@@ -186,9 +191,10 @@ def derive_model(p: PhysicalParams) -> ModelParams:
     Raises ValidationError naming the offending field on non-finite or
     out-of-range inputs, also where a derived value would overflow: the
     photon energy hbar*omega_L or the steady-state cubic (see
-    ``_check_cubic_range``). Power, delta0 and temperature may be numpy
-    arrays, checked elementwise; the fields then broadcast over a sweep grid,
-    each element bit-identical to the scalar derivation (only + - * / sqrt).
+    ``_check_cubic_range``), and where the coupling G0 underflows to 0.
+    Power, delta0 and temperature may be numpy arrays, checked elementwise;
+    the fields then broadcast over a sweep grid, each element bit-identical
+    to the scalar derivation (only + - * / sqrt).
     """
     _check_physical(p)
     omega_L = laser_frequency(p.wavelength)
@@ -199,6 +205,9 @@ def derive_model(p: PhysicalParams) -> ModelParams:
     kappa = p.kappa_override if p.kappa_override is not None \
         else cavity_decay(p.cavity_length, p.finesse)
     g0 = (omega_c / p.cavity_length) * math.sqrt(_HBAR / (p.mass * p.omega_m))
+    # a coupling that underflows to 0 is not a decoupled cavity
+    _require(np.all((g0 != 0) | (omega_c == 0)), "cavity_length, mass, omega_m, "
+             "wavelength", "out of range, the coupling G0 they give underflows to 0")
     drive = drive_amplitude(p.power, kappa, omega_L)
     _check_cubic_range(p, kappa, g0, drive)
     return ModelParams(

@@ -20,11 +20,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import split_blocks
+from .dynamics import (
+    MARGINAL_DECAY_FRACTION,
+    decay_rate,
+    diffusion_matrix,
+    drift_from_rates,
+    solve_lyapunov,
+    split_blocks,
+)
 from .errors import PhysicalityError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .params import ModelParams
 
 # linearization-validity threshold of validity_ok: n_o <= threshold * photons
 VALIDITY_THRESHOLD = 0.01
@@ -62,10 +73,17 @@ class AsymptoticCoeffs:
 
 
 def occupancies(V: np.ndarray) -> tuple[float, float]:
-    """(n_m, n_o) from the covariance diagonal; no clamping applied."""
-    n_m = (V[0, 0] + V[1, 1] - 1.0) / 2.0
-    n_o = (V[2, 2] + V[3, 3] - 1.0) / 2.0
-    return float(n_m), float(n_o)
+    """(n_m, n_o) from the covariance diagonal; no clamping applied. A
+    stack (N, 4, 4) gives two arrays."""
+    W = V.T  # W[i, i] is V[i, i], or the column of V[:, i, i] of a stack
+    n_m = (W[0, 0] + W[1, 1] - 1.0) / 2.0
+    n_o = (W[2, 2] + W[3, 3] - 1.0) / 2.0
+    return (n_m, n_o) if V.ndim == 3 else (float(n_m), float(n_o))
+
+
+def _e_n(nu_min: float) -> float:
+    """E_N = max{0, -ln(2*nu_min)}, through math.log."""
+    return max(0.0, -math.log(2.0 * nu_min)) if nu_min > 0 else math.inf
 
 
 def log_negativity(V: np.ndarray, photons: float | None = None,
@@ -77,13 +95,37 @@ def log_negativity(V: np.ndarray, photons: float | None = None,
     validity flag vacuously true. Raises PhysicalityError if the
     symplectic discriminant Sigma^2 - 4 det V or nu_min^2 is negative
     beyond ``slack``, or NaN, as where the determinants of V overflow.
+
+    A stack (N, 4, 4), with ``photons`` an array or None, gives a report
+    of arrays. A row where the one-matrix call would raise is NaN in
+    every number and has validity_ok False. The logarithm is taken per
+    element through ``math``, as for one matrix, so that each row is
+    bit-identical to the one-matrix call (``np.log`` is not, in the last
+    bit of about 1% of values).
     """
     # overflowing determinants give a NaN disc, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         det_a, det_b, det_c = np.linalg.det(split_blocks(V))  # stacked: one call
         sigma = det_a + det_b - 2.0 * det_c
-        det_v = float(np.linalg.det(V))
+        det_v = np.linalg.det(V)
         disc = sigma * sigma - 4.0 * det_v
+        if V.ndim == 3:
+            nu_sq = (sigma - np.sqrt(np.maximum(disc, 0.0))) / 2.0
+            physical = (disc >= -slack) & (nu_sq >= -slack)
+            nu_min = np.where(physical, np.sqrt(np.maximum(nu_sq, 0.0)), np.nan)
+            e_n = np.full(len(V), np.nan)
+            e_n[physical] = list(map(_e_n, nu_min[physical].tolist()))
+            n_m, n_o = np.where(physical, occupancies(V), np.nan)
+            if photons is None:
+                ratio, ok = np.full(len(V), np.nan), physical
+            else:
+                ratio = np.divide(n_o, photons, where=physical & (photons > 0),
+                                  out=np.where(physical, np.inf, np.nan))
+                ok = n_o <= VALIDITY_THRESHOLD * photons
+            return EntanglementReport(
+                sigma=np.where(physical, sigma, np.nan),
+                det_v=np.where(physical, det_v, np.nan), nu_min=nu_min,
+                e_n=e_n, n_m=n_m, n_o=n_o, validity_ok=ok, validity_ratio=ratio)
     if not disc >= -slack:  # NaN too: overflowed determinants
         raise PhysicalityError(
             f"Sigma^2 - 4 det V = {disc:.3e}, not >= 0 within slack; "
@@ -92,7 +134,6 @@ def log_negativity(V: np.ndarray, photons: float | None = None,
     if not nu_sq >= -slack:
         raise PhysicalityError(f"nu_min^2 = {nu_sq:.3e}, not >= 0 within slack")
     nu_min = math.sqrt(max(nu_sq, 0.0))
-    e_n = max(0.0, -math.log(2.0 * nu_min)) if nu_min > 0 else math.inf
     n_m, n_o = occupancies(V)
     if photons is None:
         ratio = float("nan")
@@ -101,9 +142,29 @@ def log_negativity(V: np.ndarray, photons: float | None = None,
         ratio = n_o / photons if photons > 0 else math.inf
         ok = n_o <= VALIDITY_THRESHOLD * photons
     return EntanglementReport(
-        sigma=float(sigma), det_v=det_v, nu_min=nu_min, e_n=e_n,
+        sigma=float(sigma), det_v=float(det_v), nu_min=nu_min, e_n=_e_n(nu_min),
         n_m=n_m, n_o=n_o, validity_ok=ok, validity_ratio=ratio,
     )
+
+
+def covariance_rows(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
+                    mp: "ModelParams"
+                    ) -> tuple[np.ndarray, np.ndarray, EntanglementReport]:
+    """The covariance chain of ``harness.evaluate_point`` on a stack of
+    stable working points: drift, decay rate, Lyapunov solve, report.
+
+    ``delta``, ``G`` and ``photons`` are 1-D arrays of N rows, and so are
+    the fields of the ModelParams ``mp``. Returns the mask of marginal
+    rows (decay rate below MARGINAL_DECAY_FRACTION * omega_m), the mask of
+    rows whose Lyapunov solve raises alone, and the stacked report, which
+    is NaN on both and where the covariance is not physical. Every row is
+    bit-identical to the chain on that row alone.
+    """
+    A = drift_from_rates(delta, G, mp.kappa, mp.omega_m, mp.gamma_m)
+    marginal = decay_rate(A) < MARGINAL_DECAY_FRACTION * mp.omega_m
+    V = np.full(A.shape, np.nan)
+    V[~marginal] = solve_lyapunov(A[~marginal], diffusion_matrix(mp)[~marginal])
+    return marginal, ~marginal & np.isnan(V[:, 0, 0]), log_negativity(V, photons)
 
 
 def approx_phonons(delta: float, kappa: float, omega_m: float,

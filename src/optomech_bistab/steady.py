@@ -248,6 +248,19 @@ def _working_points(t: RootTable) -> list[list[WorkingPoint]]:
     return points
 
 
+def branch_roots(t: RootTable, branch: str) -> np.ndarray:
+    """Indices into ``t`` of the roots a branch choice picks, in model
+    order: per model its first root (``lower``), its last (``upper``), both
+    (``both``, once where they are one root) or every root (``all``)."""
+    if branch == "all":
+        return np.arange(len(t.model))
+    first = np.cumsum(t.count) - t.count
+    last = first + t.count - 1
+    if branch != "both":
+        return first if branch == "lower" else last
+    return np.column_stack((first, last))[np.column_stack((t.count > 0, t.count > 1))]
+
+
 def _solve_grid(mp: ModelParams) -> RootTable:
     """The root table of every model of a grid (see ``steady_states_grid``)."""
     # nbar broadcasts too, so that a temperature grid is a grid of models

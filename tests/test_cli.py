@@ -274,6 +274,13 @@ OVERFLOW_PROBES = [
     ("bare_detuning = 1e160", ["figure", "fig5a"], "delta0"),
     ("kappa_override = 1e200", ["steady"], "kappa"),
     ("kappa_override = 1e200", ["figure", "fig2"], "kappa"),
+    # kappa^2 overflows and so does the drive E it gives: named by its inputs
+    ("kappa_override = 1e300", ["steady"], "power, kappa_override"),
+    ("kappa_override = 1e300", ["sweep", "--axis1", "power=0.01:0.1:5"],
+     "power, kappa_override"),
+    # G0 underflows to 0: not a decoupled cavity
+    ("mass_kg = 1e300", ["steady"], "cavity_length, mass, omega_m"),
+    ("mass_kg = 1e300", ["figure", "fig5a"], "cavity_length, mass, omega_m"),
     ("mech_freq = 1e150", ["steady"], "omega_m"),
     ("mech_freq = 1e150", ["sweep", "--axis1", "power=0.01:0.1:5"], "omega_m"),
     ("mech_freq = 1e150", ["figure", "fig2"], "omega_m"),

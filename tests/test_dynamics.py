@@ -254,6 +254,59 @@ def test_lyapunov_rejects_marginal():
         solve_lyapunov(A, np.diag([0.0, 1.0, 1.4, 1.4]))
 
 
+# (A, D) pairs that solve_lyapunov rejects: not Hurwitz; undamped
+# mechanics, whose eigenvalue pair sums to 0
+_REJECTED = (
+    (drift_from_rates(1.0, 5.0, 0.2, 1.0, 1e-5), np.diag([0.0, 1.0, 1.0, 1.0])),
+    (drift_from_rates(1.0, 0.0, 1.4, 1.0, 0.0), np.diag([0.0, 1.0, 1.4, 1.4])),
+)
+
+
+@given(st.lists(st.one_of(hurwitz_problems(), st.sampled_from(_REJECTED)),
+                min_size=1, max_size=6))
+@settings(max_examples=80, deadline=None)
+def test_stacked_calls_equal_one_matrix_calls(problems):
+    A = np.array([a for a, _ in problems])
+    D = np.array([d for _, d in problems])
+    rates, V = decay_rate(A), solve_lyapunov(A, D)
+    assert rates.shape == (len(problems),) and V.shape == A.shape
+    for k, (a, d) in enumerate(problems):
+        assert rates[k] == decay_rate(a)
+        try:
+            expected = solve_lyapunov(a, d)
+        except (UnstableSystemError, IllConditionedError):
+            assert np.isnan(V[k]).all()
+        else:
+            assert np.array_equal(V[k], expected)
+            assert np.array_equal(np.signbit(V[k]), np.signbit(expected))
+
+
+def test_stacked_lyapunov_rejects_the_row_off_its_residual(monkeypatch, rng):
+    A = np.array([stable_drift(rng)[0] for _ in range(3)])
+    D = np.array([np.diag([0.0, 1.0, 0.7, 0.7])] * 3)
+    expected = [solve_lyapunov(a, d) for a, d in zip(A, D)]
+    solve = np.linalg.solve
+
+    def off_in_row_1(M, b):
+        x = solve(M, b)
+        x[1, 0] += 1e-6 * np.abs(x[1]).max()
+        return x
+
+    monkeypatch.setattr(np.linalg, "solve", off_in_row_1)
+    V = solve_lyapunov(A, D)
+    assert np.isnan(V[1]).all()
+    assert np.array_equal(V[0], expected[0]) and np.array_equal(V[2], expected[2])
+
+
+def test_stacked_diffusion_matrix_rows():
+    kappa, gamma, nbar = np.array([1.4, 0.3]), np.array([1e-5, 2e-3]), np.array([0.0, 7.5])
+    D = diffusion_matrix(ModelParams(kappa=kappa, G0=None, E=None, delta0=None,
+                                     omega_m=None, gamma_m=gamma, nbar=nbar))
+    for k in range(2):
+        one = diffusion_matrix(_model(kappa=kappa[k], gamma=gamma[k], nbar=nbar[k]))
+        assert np.array_equal(D[k], one)
+
+
 def test_physicality_of_stable_points(rng):
     for _ in range(30):
         A, kappa, delta, gamma, g = stable_drift(rng)

@@ -421,6 +421,103 @@ def test_experimental_sweep_equals_per_cell_path(default_model, default_physical
         assert list(map(repr, values)) == list(map(repr, expected[name])), name
 
 
+def _assert_sweep_equals_per_cell_path(spec, chunk_rows=None) -> set:
+    """Compare every column of ``sweep`` with the per-cell path, at
+    ``chunk_rows`` live rows per stacked pass; returns the statuses."""
+    expected = _per_cell_columns(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_rows is not None:
+            patch.setattr(harness, "_CHUNK_ROWS", chunk_rows)
+        result = sweep(spec)
+    assert set(result.columns) == set(expected)
+    for name, values in result.columns.items():
+        assert list(map(repr, values)) == list(map(repr, expected[name])), name
+    return set(expected["status"])
+
+
+_DEFAULT = default_params()
+_W = _DEFAULT.omega_m
+# a narrow cavity on nearly undamped mechanics
+_NARROW = replace(_DEFAULT, kappa_override=1e-6 * _W, gamma_m=1e-9)
+
+# a sweep for each status the grid path takes from a mask
+_STATUS_SWEEPS = {
+    # undriven, so uncoupled: the mechanics alone decays at gamma_m / 2,
+    # below 1e-8 omega_m, above the round-off of the eigenvalues
+    "marginal": SweepSpec(replace(_DEFAULT, gamma_m=0.1),
+                          AxisSpec("power", (0.0, 0.01)), branch="all"),
+    # a double root at the turning point
+    "degenerate": SweepSpec(
+        _NARROW, AxisSpec("power", (0.0, 1e-6 / 29)),
+        AxisSpec("bare_detuning", linear_grid(-2.0 * _W, 3.0 * _W, 20)[-4:]),
+        branch="all"),
+    # nbar overflows to inf: the Lyapunov residual is not finite
+    "conditioning": SweepSpec(_DEFAULT, AxisSpec("temperature", (1e305, 1e308)),
+                              branch="both"),
+    # the determinants of the covariance overflow
+    "error:PhysicalityError": SweepSpec(
+        _DEFAULT, AxisSpec("temperature", (1e300,)), branch="both"),
+}
+
+
+@pytest.mark.parametrize("status", _STATUS_SWEEPS)
+def test_grid_path_status_equals_per_cell_path(status):
+    assert status in _assert_sweep_equals_per_cell_path(_STATUS_SWEEPS[status])
+
+
+@st.composite
+def _experimental_sweeps(draw):
+    """A random experimental sweep: power by bare detuning or temperature,
+    on a few grid points each, with any branch."""
+    base = replace(_DEFAULT, kappa_override=draw(st.sampled_from((1.4, 0.5, 1e-6))) * _W,
+                   gamma_m=draw(st.sampled_from((_DEFAULT.gamma_m, 1e-9))))
+    window = bistable_window_estimate(derive_model(base),
+                                      laser_frequency(base.wavelength))
+    p_top = 1.5 * window[1] if window else 2.0 * base.power
+
+    def grid(lo, hi, step):
+        ks = draw(st.lists(st.integers(lo, hi), min_size=1, max_size=5, unique=True))
+        return tuple(k * step for k in sorted(ks))
+
+    axis1 = AxisSpec("power", grid(0, 40, p_top / 40))
+    axis2 = AxisSpec("bare_detuning", grid(-8, 16, _W / 4)) if draw(st.booleans()) \
+        else AxisSpec("temperature", tuple(sorted(draw(st.lists(
+            st.sampled_from((0.0, 0.4, 10.0, 1e300, 1e308)),
+            min_size=1, max_size=3, unique=True)))))
+    if draw(st.booleans()):
+        axis1, axis2 = axis2, None
+    return SweepSpec(base, axis1, axis2, draw(st.sampled_from(("lower", "upper",
+                                                               "both", "all"))))
+
+
+@given(spec=_experimental_sweeps(), chunk_rows=st.sampled_from((1, 2, 3, None)))
+@settings(max_examples=40, deadline=None)
+def test_random_experimental_sweep_equals_per_cell_path(spec, chunk_rows):
+    _assert_sweep_equals_per_cell_path(spec, chunk_rows)
+
+
+def test_a_chunk_whose_stacked_solve_raises_takes_one_row_statuses(monkeypatch):
+    spec = SweepSpec(_DEFAULT, AxisSpec("power", linear_grid(0.0, 0.1, 7)),
+                     AxisSpec("bare_detuning", (2.0 * _W, 3.0 * _W)), branch="both")
+    solve, calls = np.linalg.solve, []
+
+    def second_stack_singular(M, b):
+        calls.append(M.ndim)
+        if M.ndim == 3 and calls.count(3) == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(M, b)
+
+    monkeypatch.setattr(np.linalg, "solve", second_stack_singular)
+    assert "ok" in _assert_sweep_equals_per_cell_path(spec, chunk_rows=4)
+    assert calls.count(2) > 0  # the second chunk ran row by row
+
+    def singular(M, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert "error:LinAlgError" in _assert_sweep_equals_per_cell_path(spec)
+
+
 def test_sweep_meta_and_rate_columns_come_from_its_model(default_physical):
     # omega_m doubled and kappa tripled: kappa/omega_m = 1.4 * 3 / 2 = 2.1
     base = replace(default_physical, omega_m=2.0 * default_physical.omega_m,

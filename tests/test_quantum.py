@@ -145,6 +145,41 @@ def test_log_negativity_rejects_overflowing_covariance(scale):
         log_negativity(scale * np.eye(4))
 
 
+def _unphysical():
+    """Symmetric, not a covariance matrix: nu_min^2 comes out negative."""
+    V = np.zeros((4, 4))
+    V[:2, :2] = np.diag([1.0, 2.0])
+    V[2:, 2:] = np.eye(2)
+    cross = np.array([[0.0, 1.5], [-1.5, 0.0]])
+    V[:2, 2:] = cross
+    V[2:, :2] = cross.T
+    return V
+
+
+@pytest.mark.parametrize("with_photons", (True, False))
+def test_stacked_log_negativity_equals_one_matrix_calls(with_photons):
+    mp = _model(nbar=3.0)
+    Vs = [two_mode_squeezed(0.4), _unphysical(), 0.5 * np.eye(4),
+          solve_at(mp, 0.3, 1.2), 1e300 * np.eye(4), solve_at(mp, 1e-3, 0.8)]
+    photons = np.array([1e3, 5.0, 0.0, 40.0, 1.0, 0.0]) if with_photons else None
+    report = log_negativity(np.array(Vs), photons=photons)
+    numbers = ("sigma", "det_v", "nu_min", "e_n", "n_m", "n_o", "validity_ratio")
+    failed = 0
+    for k, V in enumerate(Vs):
+        try:
+            one = log_negativity(
+                V, photons=None if photons is None else float(photons[k]))
+        except PhysicalityError:
+            failed += 1
+            assert all(math.isnan(getattr(report, f)[k]) for f in numbers)
+            assert not report.validity_ok[k]
+            continue
+        for f in numbers:
+            assert repr(float(getattr(report, f)[k])) == repr(getattr(one, f)), f
+        assert bool(report.validity_ok[k]) is one.validity_ok
+    assert failed == 2
+
+
 def test_validity_flag_thresholds():
     V = two_mode_squeezed(0.3)
     n_o = occupancies(V)[1]
