@@ -128,19 +128,19 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     Solved for the 10 packed upper-triangle entries of V as one dense
     system with matrix ``_MAP @ A.ravel()``. Raises UnstableSystemError
     (naming the offending eigenvalue) if A is not Hurwitz, and
-    IllConditionedError if an eigenvalue pair nearly sums to zero or the
-    residual contract max|A V + V A^T + D| <= max(c * eps * max|A| *
-    max|V|, tiny) cannot be met: c = 64, eps the machine epsilon and tiny
-    the smallest normal float. The bound is the backward-error scale of
-    the solve (Higham, BIT 33, 1993): over 20,000 drift matrices of the
-    default model with kappa and Delta in [0.05, 3] and [0.02, 3] omega_m
-    and eta log-uniform in [1e-8, 1] the residual stays below 2.5 * eps *
-    max|A| * max|V|.
+    IllConditionedError if an eigenvalue pair nearly sums to zero, the
+    system is singular or the residual contract max|A V + V A^T + D| <=
+    max(c * eps * max|A| * max|V|, tiny) cannot be met: c = 64, eps the
+    machine epsilon and tiny the smallest normal float. The bound is the
+    backward-error scale of the solve (Higham, BIT 33, 1993): over 20,000
+    drift matrices of the default model with kappa and Delta in [0.05, 3]
+    and [0.02, 3] omega_m and eta log-uniform in [1e-8, 1] the residual
+    stays below 2.5 * eps * max|A| * max|V|.
 
     Stacks A and D (N, 4, 4) give the stack of V, each matrix solved on
-    its own. A row where the one-matrix call would raise is NaN; rows that
-    fail the eigenvalue tests are taken out before the stacked solve, so
-    that it never meets a singular system.
+    its own. A row where the one-matrix call would raise is NaN. Rows that
+    fail the eigenvalue tests skip the stacked solve; where numpy rejects
+    it for a singular matrix, each row is solved as a stack of its own.
     """
     eig = np.linalg.eigvals(A)
     worst = eig.real.max(-1)
@@ -152,7 +152,10 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
         if near_zero:
             raise IllConditionedError(
                 f"eigenvalue pair sums to ~0 (min |l_i + l_j| = {pair_min:.3e})")
-        V = np.linalg.solve((_MAP @ A.ravel()).reshape(10, 10), -D[_I, _J])[_PACKED]
+        try:
+            V = np.linalg.solve((_MAP @ A.ravel()).reshape(10, 10), -D[_I, _J])[_PACKED]
+        except np.linalg.LinAlgError:
+            raise IllConditionedError("Lyapunov system is singular") from None
         residual, bound = _residual_bound(A, V, D)
         if not residual <= bound:
             raise IllConditionedError(
@@ -163,7 +166,12 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     rows = np.flatnonzero((worst < 0.0) & ~near_zero)
     A, D = A[rows], D[rows]
     M = (A.reshape(-1, 16) @ _MAP.T).reshape(-1, 10, 10)
-    V = np.linalg.solve(M, -D[:, _I, _J, None])[:, _PACKED, 0]
+    try:
+        V = np.linalg.solve(M, -D[:, _I, _J, None])[:, _PACKED, 0]
+    except np.linalg.LinAlgError:  # for the whole stack, if one matrix is singular
+        if len(rows) > 1:
+            out[rows] = [solve_lyapunov(a[None], d[None])[0] for a, d in zip(A, D)]
+        return out
     residual, bound = _residual_bound(A, V, D)
     out[rows[residual <= bound]] = V[residual <= bound]
     return out

@@ -1,15 +1,15 @@
 """Parameter sweeps and figure reproduction; ``csvfile`` writes their CSV.
 
-Two families of sweep axes are supported. Experimental axes (power,
-bare_detuning, temperature) derive the whole grid's models in one call,
-solve their steady-state cubics in one pass and evaluate the covariance
-chain of the selected roots on stacks. Theoretical axes
+Two families of sweep axes are supported, each on one path. Experimental
+axes (power, bare_detuning, temperature) derive the whole grid's models
+in one call, solve their steady-state cubics in one pass and evaluate the
+covariance chain of the selected roots on stacks. Theoretical axes
 (effective_detuning, eta, coupling) prescribe the linearization inputs
 directly, inverting the bistability parameter for the coupling when eta
-is swept; they cannot be mixed with experimental axes in one sweep.
-
-Per-row failures (instability, marginal decay, ill conditioning) are
-recorded in the ``status`` column and never abort a sweep.
+is swept, and make one ``evaluate_point`` row per cell; the two cannot
+be mixed in one sweep. Per-row failures (instability, marginal decay,
+ill conditioning, a singular Lyapunov system) are recorded in the
+``status`` column, alike on both paths, and never abort a sweep.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from itertools import chain, product
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -248,8 +248,8 @@ def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
     roots are contiguous and ascending, so the branch pick is an index per
     model. The covariance chain of the stable, non-degenerate rows runs on
     stacks of at most ``_CHUNK_ROWS`` rows (``quantum.covariance_rows``),
-    and its masks give the statuses ``evaluate_point`` gives. A chunk whose
-    stacked call raises runs row by row through ``evaluate_point``.
+    and its masks give the statuses ``evaluate_point`` gives. It builds no
+    ``WorkingPoint``; an exception of the stacked chain propagates.
     """
     shape = tuple(len(axis.values) for axis in axes)
     grid = derive_model(replace(spec.base, **dict(zip(
@@ -266,18 +266,9 @@ def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
     model = [np.broadcast_to(v, shape).ravel()[cells] for v in vars(grid).values()]
     live = np.flatnonzero(row["stable"] & ~t.degenerate[roots])
     for r in np.split(live, range(_CHUNK_ROWS, len(live), _CHUNK_ROWS)):
-        try:
-            marginal, conditioning, report = quantum.covariance_rows(
-                *(x[roots[r]] for x in (t.delta, t.G, t.photons)),
-                ModelParams(*(field[r] for field in model)))
-        except Exception:  # row by row, for the statuses of the one-row path
-            points = list(chain(*steady._working_points(t)))
-            for i in r.tolist():
-                values = evaluate_point(points[roots[i]], ModelParams(
-                    *(field[i].item() for field in model)))
-                for name in (*_COVARIANCE_COLUMNS, "status"):
-                    row[name][i] = values[name]
-            continue
+        marginal, conditioning, report = quantum.covariance_rows(
+            *(x[roots[r]] for x in (t.delta, t.G, t.photons)),
+            ModelParams(*(field[r] for field in model)))
         ok = ~np.isnan(report.e_n)
         row["status"][r[~ok]] = f"{STATUS_ERROR}:{PhysicalityError.__name__}"
         row["status"][r[conditioning]] = STATUS_CONDITIONING

@@ -40,6 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover
 # linearization-validity threshold of validity_ok: n_o <= threshold * photons
 VALIDITY_THRESHOLD = 0.01
 
+# round-off allowed below 0 in the symplectic discriminant and nu_min^2
+PHYSICALITY_SLACK = 1e-9
+
 # |alpha| or |beta| below this counts as a regime-boundary tie
 REGIME_TIE_TOL = 1e-12
 
@@ -86,15 +89,14 @@ def _e_n(nu_min: float) -> float:
     return max(0.0, -math.log(2.0 * nu_min)) if nu_min > 0 else math.inf
 
 
-def log_negativity(V: np.ndarray, photons: float | None = None,
-                   slack: float = 1e-9) -> EntanglementReport:
+def log_negativity(V: np.ndarray, photons: float | None = None) -> EntanglementReport:
     """Full entanglement report for a physical 4x4 covariance matrix.
 
     ``photons`` is the classical intracavity photon number |alpha_s|^2 of
     the working point; when omitted the validity ratio is NaN and the
     validity flag vacuously true. Raises PhysicalityError if the
-    symplectic discriminant Sigma^2 - 4 det V or nu_min^2 is negative
-    beyond ``slack``, or NaN, as where the determinants of V overflow.
+    symplectic discriminant Sigma^2 - 4 det V or nu_min^2 is below
+    -PHYSICALITY_SLACK, or NaN, as where the determinants of V overflow.
 
     A stack (N, 4, 4), with ``photons`` an array or None, gives a report
     of arrays. A row where the one-matrix call would raise is NaN in
@@ -111,7 +113,7 @@ def log_negativity(V: np.ndarray, photons: float | None = None,
         disc = sigma * sigma - 4.0 * det_v
         if V.ndim == 3:
             nu_sq = (sigma - np.sqrt(np.maximum(disc, 0.0))) / 2.0
-            physical = (disc >= -slack) & (nu_sq >= -slack)
+            physical = (disc >= -PHYSICALITY_SLACK) & (nu_sq >= -PHYSICALITY_SLACK)
             nu_min = np.where(physical, np.sqrt(np.maximum(nu_sq, 0.0)), np.nan)
             e_n = np.full(len(V), np.nan)
             e_n[physical] = list(map(_e_n, nu_min[physical].tolist()))
@@ -126,12 +128,12 @@ def log_negativity(V: np.ndarray, photons: float | None = None,
                 sigma=np.where(physical, sigma, np.nan),
                 det_v=np.where(physical, det_v, np.nan), nu_min=nu_min,
                 e_n=e_n, n_m=n_m, n_o=n_o, validity_ok=ok, validity_ratio=ratio)
-    if not disc >= -slack:  # NaN too: overflowed determinants
+    if not disc >= -PHYSICALITY_SLACK:  # NaN too: overflowed determinants
         raise PhysicalityError(
             f"Sigma^2 - 4 det V = {disc:.3e}, not >= 0 within slack; "
             "covariance is not physical")
     nu_sq = (sigma - math.sqrt(max(disc, 0.0))) / 2.0
-    if not nu_sq >= -slack:
+    if not nu_sq >= -PHYSICALITY_SLACK:
         raise PhysicalityError(f"nu_min^2 = {nu_sq:.3e}, not >= 0 within slack")
     nu_min = math.sqrt(max(nu_sq, 0.0))
     n_m, n_o = occupancies(V)

@@ -180,9 +180,7 @@ def _cubic_roots(c3: np.ndarray, c2: np.ndarray, c1: np.ndarray,
     valid = np.arange(3) < count[:, None]
     row = np.nonzero(valid)[0]
     roots[valid] = _polish(c3[row], c2[row], c1[row], c0[row], roots[valid])
-    for r in np.flatnonzero(count > 1).tolist():
-        roots[r, :count[r]] = sorted(roots[r, :count[r]].tolist())
-    return roots, count, degenerate
+    return np.sort(roots, axis=1, kind="stable"), count, degenerate
 
 
 def _polish(c3, c2, c1, c0, x: np.ndarray) -> np.ndarray:

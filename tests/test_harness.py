@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from optomech_bistab import __version__, harness
+from optomech_bistab import __version__, harness, quantum
 from optomech_bistab.dynamics import (
     LYAPUNOV_RESIDUAL_C,
     diffusion_matrix,
@@ -496,26 +496,62 @@ def test_random_experimental_sweep_equals_per_cell_path(spec, chunk_rows):
     _assert_sweep_equals_per_cell_path(spec, chunk_rows)
 
 
-def test_a_chunk_whose_stacked_solve_raises_takes_one_row_statuses(monkeypatch):
-    spec = SweepSpec(_DEFAULT, AxisSpec("power", linear_grid(0.0, 0.1, 7)),
+# nine live rows: three chunks (4, 4, 1) at chunk_rows=4
+_CHUNKED = SweepSpec(_DEFAULT, AxisSpec("power", linear_grid(0.0, 0.1, 7)),
                      AxisSpec("bare_detuning", (2.0 * _W, 3.0 * _W)), branch="both")
-    solve, calls = np.linalg.solve, []
 
-    def second_stack_singular(M, b):
-        calls.append(M.ndim)
-        if M.ndim == 3 and calls.count(3) == 2:
+
+def _chunked_rows():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "_CHUNK_ROWS", 4)
+        return _rows(sweep(_CHUNKED))
+
+
+def test_a_singular_system_changes_only_its_own_row(monkeypatch):
+    solve, stacks = np.linalg.solve, []
+
+    def recording(M, b):
+        if M.ndim == 3:
+            stacks.append(M.copy())
+        return solve(M, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    before = _chunked_rows()
+    assert len(stacks) > 1 and len(stacks[1]) > 1
+    target = stacks[1][1]  # a system of the second chunk
+
+    def singular_target(M, b):
+        if any(np.array_equal(m, target) for m in M.reshape(-1, 10, 10)):
             raise np.linalg.LinAlgError("Singular matrix")
         return solve(M, b)
 
-    monkeypatch.setattr(np.linalg, "solve", second_stack_singular)
-    assert "ok" in _assert_sweep_equals_per_cell_path(spec, chunk_rows=4)
-    assert calls.count(2) > 0  # the second chunk ran row by row
+    monkeypatch.setattr(np.linalg, "solve", singular_target)
+    assert "conditioning" in _assert_sweep_equals_per_cell_path(_CHUNKED, chunk_rows=4)
+    after = _chunked_rows()
+    changed = [k for k, (a, b) in enumerate(zip(before, after)) if repr(a) != repr(b)]
+    assert len(before) == len(after) and len(changed) == 1
+    assert before[changed[0]]["status"] == "ok"
+    assert after[changed[0]]["status"] == "conditioning"
+    assert after[changed[0]]["E_N"] is None
 
+
+def test_an_all_singular_solve_gives_conditioning_rows_on_both_paths(monkeypatch):
     def singular(M, b):
         raise np.linalg.LinAlgError("Singular matrix")
 
     monkeypatch.setattr(np.linalg, "solve", singular)
-    assert "error:LinAlgError" in _assert_sweep_equals_per_cell_path(spec)
+    statuses = _assert_sweep_equals_per_cell_path(_CHUNKED)
+    assert "conditioning" in statuses
+    assert not any(status.startswith("error") or status == "ok" for status in statuses)
+
+
+def test_a_raising_covariance_chain_raises_out_of_an_experimental_sweep(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("broken covariance chain")
+
+    monkeypatch.setattr(quantum, "covariance_rows", broken)
+    with pytest.raises(RuntimeError, match="broken covariance chain"):
+        sweep(_CHUNKED)
 
 
 def test_sweep_meta_and_rate_columns_come_from_its_model(default_physical):
