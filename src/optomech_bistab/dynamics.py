@@ -181,9 +181,11 @@ def _residual_bound(A: np.ndarray, V: np.ndarray, D: np.ndarray) -> tuple:
     """max|A V + V A^T + D| and its bound, of one matrix or per matrix of
     a stack."""
     axes = (-2, -1) if A.ndim == 3 else None
-    residual = np.abs(A @ V + V @ A.swapaxes(-1, -2) + D).max(axis=axes)
-    bound = np.maximum(_C_EPS * np.abs(A).max(axis=axes)
-                       * np.abs(V).max(axis=axes), _RESIDUAL_FLOOR)
+    # an overflowing V gives a non-finite residual, which fails the bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(A @ V + V @ A.swapaxes(-1, -2) + D).max(axis=axes)
+        bound = np.maximum(_C_EPS * np.abs(A).max(axis=axes)
+                           * np.abs(V).max(axis=axes), _RESIDUAL_FLOOR)
     return residual, bound
 
 

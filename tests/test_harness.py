@@ -465,6 +465,14 @@ def test_grid_path_status_equals_per_cell_path(status):
     assert status in _assert_sweep_equals_per_cell_path(_STATUS_SWEEPS[status])
 
 
+def test_an_overflowing_covariance_is_a_conditioning_row_on_both_paths():
+    # undriven at 1e300 K: the solved V holds inf, the residual is not finite
+    spec = SweepSpec(replace(_DEFAULT, kappa_override=1.4 * _W),
+                     AxisSpec("power", (0.0,)), AxisSpec("temperature", (0.0, 1e300)),
+                     branch="lower")
+    assert "conditioning" in _assert_sweep_equals_per_cell_path(spec, chunk_rows=1)
+
+
 @st.composite
 def _experimental_sweeps(draw):
     """A random experimental sweep: power by bare detuning or temperature,
