@@ -8,8 +8,10 @@ covariance chain of the selected roots on stacks. Theoretical axes
 directly, inverting the bistability parameter for the coupling when eta
 is swept, and make one ``evaluate_point`` row per cell; the two cannot
 be mixed in one sweep. Per-row failures (instability, marginal decay,
-ill conditioning, a singular Lyapunov system) are recorded in the
-``status`` column, alike on both paths, and never abort a sweep.
+ill conditioning, a singular Lyapunov system, an unphysical covariance)
+are recorded in the ``status`` column, alike on both paths, and never
+abort a sweep; any other exception of the covariance chain is a defect
+and propagates out of ``sweep`` on both paths.
 """
 
 from __future__ import annotations
@@ -174,8 +176,7 @@ def _point_fields(wp, mp: ModelParams) -> dict:
 def _root_columns(powers, t: steady.RootTable, mp: ModelParams) -> dict:
     """P_in_W (``powers`` per model) and ``_point_fields`` of every root."""
     return {"P_in_W": np.array(powers)[t.model].tolist(),
-            **{name: v.tolist() if isinstance(v, np.ndarray) else v
-               for name, v in _point_fields(t, mp).items()}}
+            **{name: v.tolist() for name, v in _point_fields(t, mp).items()}}
 
 
 def _report_fields(report: quantum.EntanglementReport) -> dict:
@@ -190,9 +191,10 @@ def _report_fields(report: quantum.EntanglementReport) -> dict:
 def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams) -> dict:
     """One pipeline row: steady-state point -> covariance -> observables.
 
-    Unstable, marginal, degenerate, ill-conditioned and failed points keep
-    their steady-state fields but carry no covariance-derived values; any
-    other exception of the covariance chain is an ``error:<Type>`` status.
+    Unstable, marginal, degenerate, ill-conditioned and unphysical points
+    keep their steady-state fields but carry no covariance-derived values;
+    an unphysical covariance is the ``error:PhysicalityError`` status. Any
+    other exception of the covariance chain propagates.
     """
     row = {**_point_fields(wp, mp), **dict.fromkeys(_COVARIANCE_COLUMNS)}
     if wp.degenerate:
@@ -212,8 +214,8 @@ def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams) -> dict:
     except IllConditionedError:
         row["status"] = STATUS_CONDITIONING
         return row
-    except Exception as exc:  # failures are data, not aborts
-        row["status"] = f"{STATUS_ERROR}:{type(exc).__name__}"
+    except PhysicalityError:
+        row["status"] = f"{STATUS_ERROR}:{PhysicalityError.__name__}"
         return row
     row.update(_report_fields(report))
     row["status"] = STATUS_OK
@@ -254,10 +256,10 @@ def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
     shape = tuple(len(axis.values) for axis in axes)
     grid = derive_model(replace(spec.base, **dict(zip(
         (_AXES[a.name].field for a in axes), np.ix_(*(a.values for a in axes))))))
-    t = steady._solve_grid(grid)
+    t = steady.root_table(grid)
     roots = steady.branch_roots(t, spec.branch)
     cells = t.model[roots]
-    row = {name: np.asarray(v)[roots] for name, v in _point_fields(t, mp).items()}
+    row = {name: v[roots] for name, v in _point_fields(t, mp).items()}
     row.update((name, np.full(len(roots), None)) for name in _COVARIANCE_COLUMNS)
     row["status"] = np.full(len(roots), STATUS_OK, dtype=object)
     row["status"][~row["stable"]] = STATUS_UNSTABLE
@@ -338,7 +340,7 @@ def _hysteresis_rows(trace: steady.HysteresisTrace,
 def steady_table(physical: PhysicalParams) -> SweepResult:
     """The ``steady`` command's table: every root at the configured power."""
     mp = derive_model(physical)
-    columns = _root_columns([physical.power], steady._solve_grid(mp), mp)
+    columns = _root_columns([physical.power], steady.root_table(mp), mp)
     return SweepResult(columns, {"kappa_over_wm": repr(mp.kappa / mp.omega_m),
                                  "nbar": repr(mp.nbar)})
 

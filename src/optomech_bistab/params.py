@@ -156,33 +156,26 @@ def drive_power(e2: float, kappa: float, omega_L: float) -> float:
     return _HBAR * omega_L * e2 / (2.0 * kappa)
 
 
-def _check_cubic_range(p: PhysicalParams, kappa, g0, drive) -> None:
-    """Name the inputs of a derived rate that the steady-state cubic
-    (``steady``) cannot take. Divided by its leading coefficient omega_m*G0^2,
-    the cubic has coefficients of order (kappa^2 + delta0^2)/G0^2 and
-    E^2/(omega_m*G0); its closed-form roots take the cube of the first and
-    the square of the second. Undriven and decoupled models solve no cubic,
-    and a kappa or delta0 whose own square overflows is named by the cubic.
-    An infinite drive E is named by power and the inputs of kappa.
-    """
-    kappa, g0, drive = (np.asarray(x, dtype=float) for x in (kappa, g0, drive))
-    # E = sqrt(2*P*kappa/(hbar*omega_L)): name the inputs of kappa too
-    _require(np.all(np.isfinite(drive)), "power, " + (
-        "cavity_length, finesse" if p.kappa_override is None else "kappa_override"),
-        "too large, the drive amplitude E they give overflows")
+def cubic_overflows(kappa, G0, E, delta0, omega_m):
+    """Masks (coupling, drive) of the models, given by numbers or broadcast
+    arrays of their fields, whose steady-state cubic (``steady``) is out of
+    range. Divided by its leading coefficient omega_m*G0^2, the cubic has
+    coefficients of order (kappa^2 + delta0^2)/G0^2 and E^2/(omega_m*G0);
+    its closed-form roots take the cube of the first (``coupling``) and the
+    square of the second (``drive``). Undriven and decoupled models solve
+    no cubic, and a kappa or delta0 whose own square overflows is named by
+    the cubic's coefficients: neither is flagged."""
+    kappa, G0, E, delta0, omega_m = (np.asarray(x, dtype=float) for x in
+                                     (kappa, G0, E, delta0, omega_m))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore",
                      under="ignore"):
-        rates = kappa * kappa + np.square(p.delta0)
-        solved = np.isfinite(rates) & (g0 != 0) & (drive != 0)
-        coupling = np.isfinite(p.omega_m * g0 * g0) \
-            & np.isfinite((rates / (g0 * g0)) ** 3)
-        driven = np.isfinite(g0 * drive * drive) \
-            & np.isfinite((drive * drive / (p.omega_m * g0)) ** 2)
-    _require(np.all(coupling | ~solved), "cavity_length, mass, omega_m, "
-             "wavelength", "out of range, the coupling G0 they give overflows "
-             "the steady-state cubic (with kappa and delta0)")
-    _require(np.all(driven | ~solved), "power",
-             "too large, the drive amplitude E overflows the steady-state cubic")
+        rates = kappa * kappa + np.square(delta0)
+        solved = np.isfinite(rates) & (G0 != 0) & (E != 0)
+        coupling = np.isfinite(omega_m * G0 * G0) \
+            & np.isfinite((rates / (G0 * G0)) ** 3)
+        drive = np.isfinite(G0 * E * E) \
+            & np.isfinite((E * E / (omega_m * G0)) ** 2)
+    return solved & ~coupling, solved & ~drive
 
 
 def derive_model(p: PhysicalParams) -> ModelParams:
@@ -190,8 +183,8 @@ def derive_model(p: PhysicalParams) -> ModelParams:
 
     Raises ValidationError naming the offending field on non-finite or
     out-of-range inputs, also where a derived value would overflow: the
-    photon energy hbar*omega_L or the steady-state cubic (see
-    ``_check_cubic_range``), and where the coupling G0 underflows to 0.
+    photon energy hbar*omega_L, the drive E or the steady-state cubic (see
+    ``cubic_overflows``), and where the coupling G0 underflows to 0.
     Power, delta0 and temperature may be numpy arrays, checked elementwise;
     the fields then broadcast over a sweep grid, each element bit-identical
     to the scalar derivation (only + - * / sqrt).
@@ -209,7 +202,16 @@ def derive_model(p: PhysicalParams) -> ModelParams:
     _require(np.all((g0 != 0) | (omega_c == 0)), "cavity_length, mass, omega_m, "
              "wavelength", "out of range, the coupling G0 they give underflows to 0")
     drive = drive_amplitude(p.power, kappa, omega_L)
-    _check_cubic_range(p, kappa, g0, drive)
+    # E = sqrt(2*P*kappa/(hbar*omega_L)): name the inputs of kappa too
+    _require(np.all(np.isfinite(drive)), "power, " + (
+        "cavity_length, finesse" if p.kappa_override is None else "kappa_override"),
+        "too large, the drive amplitude E they give overflows")
+    coupling, driven = cubic_overflows(kappa, g0, drive, p.delta0, p.omega_m)
+    _require(not np.any(coupling), "cavity_length, mass, omega_m, wavelength",
+             "out of range, the coupling G0 they give overflows the "
+             "steady-state cubic (with kappa and delta0)")
+    _require(not np.any(driven), "power",
+             "too large, the drive amplitude E overflows the steady-state cubic")
     return ModelParams(
         kappa=kappa,
         G0=g0,

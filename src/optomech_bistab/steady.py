@@ -10,15 +10,14 @@ root carries the effective detuning Delta = Delta_0 - G0*q, the enhanced
 coupling G = sqrt(2)*G0*|alpha_s| (fluctuation phase gauged so G is real)
 and the bistability parameter eta.
 
-The cubic is solved array-at-a-time: ``steady_states_grid`` takes model
-constants as broadcast numpy arrays (a power grid, an experimental sweep
-grid) and computes the closed-form roots, their Newton polish, the
-working-point quantities and one stacked spectral stability verdict for
-every grid point in one pass, into one root table: an array per field
-over all roots of the grid. ``WorkingPoint`` objects are a view of that
-table, built only when a caller asks for them. ``steady_states`` and
-``real_cubic_roots`` are one-model views, so each result is bit-identical
-whether a model is solved alone or as part of a grid.
+The cubic is solved array-at-a-time: ``root_table`` takes model constants
+as broadcast numpy arrays (a power grid, an experimental sweep grid) and
+computes the closed-form roots, their Newton polish, the working-point
+quantities and one stacked spectral stability verdict for every grid
+point in one pass, into one root table: an array per field over all
+roots of the grid. ``steady_states`` is the one-model view of that table
+as ``WorkingPoint`` objects, so each result is bit-identical whether a
+model is solved alone or as part of a grid.
 """
 
 from __future__ import annotations
@@ -26,13 +25,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 
 from . import dynamics
 from .errors import ValidationError
-from .params import ModelParams, drive_amplitude, drive_power
+from .params import ModelParams, cubic_overflows, drive_amplitude, drive_power
 
 # relative discriminant threshold below which a cubic counts as degenerate
 _DEGENERATE_RTOL = 1e-12
@@ -58,8 +56,8 @@ class WorkingPoint:
 
 
 # All roots of a grid of models, in model order and ascending q_s within a
-# model; numpy arrays, but lists for branch and stable. Per root: its model
-# index and the WorkingPoint fields; per model, ``count``, its root count.
+# model, one numpy array per field. Per root: its model index and the
+# WorkingPoint fields; per model, ``count``, its root count.
 RootTable = namedtuple("RootTable", "model count q_s photons delta G eta "
                                     "branch stable degenerate")
 
@@ -68,11 +66,10 @@ RootTable = namedtuple("RootTable", "model count q_s photons delta G eta "
 class HysteresisTrace:
     """Steady states over a power grid with adiabatic sweep selections.
 
-    ``points`` is the ``WorkingPoint`` view of ``table``, built on first
-    access. The up-sweep rides the smallest root of each power,
-    ``points[k][0]``, until it ceases to exist (the remaining single root
-    IS the post-jump state); the down-sweep mirrors it on the largest
-    root, ``points[k][-1]``.
+    ``table`` holds every root of each power. The up-sweep rides the
+    smallest root of each power until it ceases to exist (the remaining
+    single root IS the post-jump state); the down-sweep mirrors it on the
+    largest root.
     """
 
     powers: tuple[float, ...]                 # W, ascending
@@ -80,31 +77,11 @@ class HysteresisTrace:
     switch_up: float | None                   # W, lower branch disappears
     switch_down: float | None                 # W, upper branch disappears
 
-    @cached_property
-    def points(self) -> tuple[tuple[WorkingPoint, ...], ...]:
-        return tuple(map(tuple, _working_points(self.table)))
-
 
 def bistability_parameter(delta: float, G: float, kappa: float,
                           omega_m: float) -> float:
     """eta = 1 - G^2*delta / (omega_m*(kappa^2 + delta^2)), never clamped."""
     return 1.0 - G * G * delta / (omega_m * (kappa * kappa + delta * delta))
-
-
-def real_cubic_roots(c3: float, c2: float, c1: float,
-                     c0: float) -> tuple[list[float], bool]:
-    """All real roots of c3*x^3 + c2*x^2 + c1*x + c0, ascending.
-
-    Closed-form (trigonometric / Cardano) solution of the depressed cubic,
-    then up to 5 Newton polish iterations per root, each kept only while
-    the residual improves. Returns (roots, degenerate) where degenerate
-    marks a double/triple root within the discriminant tolerance; in that
-    case the repeated root appears once. The one-cubic view of
-    ``_cubic_roots``.
-    """
-    roots, count, degenerate = _cubic_roots(
-        *(np.array([c], dtype=float) for c in (c3, c2, c1, c0)))
-    return roots[0, :count[0]].tolist(), bool(degenerate[0])
 
 
 # Only + - * / sqrt abs run as numpy array operations, which round exactly
@@ -212,36 +189,16 @@ def steady_states(mp: ModelParams) -> list[WorkingPoint]:
     labelled upper when it lies past the upper turning point q_hi, else
     lower. A double root at a turning point is reported with
     degenerate=True rather than failing. The one-model view of
-    ``steady_states_grid``.
+    ``root_table``.
     """
-    return steady_states_grid(mp)[0]
-
-
-# branch labels by root position, for three/one roots and for a double root
-_LABELS = (BRANCH_LOWER, BRANCH_MIDDLE, BRANCH_UPPER)
-_DEGENERATE_LABELS = (BRANCH_LOWER, BRANCH_UPPER)
-
-
-def steady_states_grid(mp: ModelParams) -> list[list[WorkingPoint]]:
-    """``steady_states`` of every model of a grid, solved in one pass.
-
-    Any field of ``mp`` may be a numpy array; the fields broadcast
-    together and each element of the flattened (C-order) broadcast shape
-    is one model. Per model the result equals ``steady_states`` of that
-    model field for field: cubic roots and Newton polish run elementwise
-    over the grid, and the spectral stability verdicts of all roots come
-    from one stacked eigenvalue call.
-    """
-    return _working_points(_solve_grid(mp))
+    return _working_points(root_table(mp))[0]
 
 
 def _working_points(t: RootTable) -> list[list[WorkingPoint]]:
-    """The ``WorkingPoint`` view of a root table, one list per model."""
+    """The ``WorkingPoint`` view of a root table, one list per model: the
+    table's fields after ``count``, as Python floats, strs and bools."""
     points: list[list[WorkingPoint]] = [[] for _ in range(len(t.count))]
-    for r, *fields in zip(
-            t.model.tolist(), t.q_s.tolist(), t.photons.tolist(),
-            t.delta.tolist(), t.G.tolist(), t.eta.tolist(), t.branch,
-            t.stable, t.degenerate.tolist()):
+    for r, *fields in zip(*(a.tolist() for a in (t.model, *t[2:]))):
         points[r].append(WorkingPoint(*fields))
     return points
 
@@ -259,8 +216,25 @@ def branch_roots(t: RootTable, branch: str) -> np.ndarray:
     return np.column_stack((first, last))[np.column_stack((t.count > 0, t.count > 1))]
 
 
-def _solve_grid(mp: ModelParams) -> RootTable:
-    """The root table of every model of a grid (see ``steady_states_grid``)."""
+# branch labels by root position, one row per root structure: three (or
+# one) roots, a single root past the upper turning point, a double root
+_LABELS = np.array([(BRANCH_LOWER, BRANCH_MIDDLE, BRANCH_UPPER),
+                    (BRANCH_UPPER,) * 3,
+                    (BRANCH_LOWER, BRANCH_UPPER, BRANCH_UPPER)])
+
+
+def root_table(mp: ModelParams) -> RootTable:
+    """The root table of every model of a grid, solved in one pass.
+
+    Any field of ``mp`` may be a numpy array; the fields broadcast
+    together and each element of the flattened (C-order) broadcast shape
+    is one model. Each model's roots equal those of that model solved
+    alone: cubic roots and Newton polish run elementwise over the grid,
+    and the spectral stability verdicts of all roots come from one stacked
+    eigenvalue call. A non-finite field, a negative drive or a cubic out
+    of range (``params.cubic_overflows``) is a ValidationError naming
+    model fields.
+    """
     # nbar broadcasts too, so that a temperature grid is a grid of models
     kappa, G0, E, delta0, omega_m, gamma_m, _ = fields = [
         a.ravel().astype(float) for a in np.broadcast_arrays(*vars(mp).values())]
@@ -287,6 +261,13 @@ def _solve_grid(mp: ModelParams) -> RootTable:
                       key=lambda f: np.max(np.abs(f[1])))
         raise ValidationError(f"{name}: too large, the steady-state cubic "
                               "overflows")
+    for overflows, names, term in zip(
+            cubic_overflows(kappa, G0, E, delta0, omega_m),
+            ("kappa, delta0, G0", "E, omega_m, G0"),
+            ("(kappa^2 + delta0^2)/G0^2", "E^2/(omega_m*G0)")):
+        if overflows.any():
+            raise ValidationError(f"{names}: out of range, {term} overflows "
+                                  "the steady-state cubic")
     if cubic.any():
         roots[cubic], count[cubic], degenerate[cubic] = _cubic_roots(
             c3[cubic], c2[cubic], c1[cubic], c0[cubic])
@@ -302,8 +283,7 @@ def _solve_grid(mp: ModelParams) -> RootTable:
     # a single root past the upper turning point is on the upper branch
     _, q_hi = _turning_points(kappa, G0, delta0)
     upper = (count == 1) & (roots[:, 0] > q_hi)
-    labels = [_DEGENERATE_LABELS if d else (BRANCH_UPPER,) if u else _LABELS
-              for d, u in zip(degenerate.tolist(), upper.tolist())]
+    branch = _LABELS[np.where(degenerate, 2, upper)[row], col]
 
     q = roots[row, col]
     kappa, G0, E, delta0, omega_m, gamma_m = (
@@ -312,9 +292,8 @@ def _solve_grid(mp: ModelParams) -> RootTable:
     photons = E * E / (kappa * kappa + delta * delta)
     G = math.sqrt(2.0) * G0 * np.sqrt(photons)
     eta = bistability_parameter(delta, G, kappa, omega_m)
-    stable = dynamics.is_stable_spectral(
-        dynamics.drift_from_rates(delta, G, kappa, omega_m, gamma_m))
-    branch = [labels[r][k] for r, k in zip(row.tolist(), col.tolist())]
+    stable = np.array(dynamics.is_stable_spectral(
+        dynamics.drift_from_rates(delta, G, kappa, omega_m, gamma_m)), dtype=bool)
     return RootTable(model=row, count=count, q_s=q, photons=photons,
                      delta=delta, G=G, eta=eta, branch=branch, stable=stable,
                      degenerate=double)
@@ -437,17 +416,13 @@ def hysteresis(mp: ModelParams, powers, omega_L: float) -> HysteresisTrace:
             raise ValidationError(f"{name}: must be finite and positive")
 
     E = drive_amplitude(np.array(powers), mp.kappa, omega_L)
-    table = _solve_grid(replace(mp, E=E))
-    counts = table.count.tolist()
+    table = root_table(replace(mp, E=E))
 
-    # transitions of the root count along the grid -> switch powers
+    # going up in power, the root count steps up to 3 where the upper
+    # branch begins and down from 3 where the lower branch ends
+    three = table.count == 3
     p_down, p_up = bistable_window_estimate(mp, omega_L) or (None, None)
-    switch_up = None    # 3 -> 1 going up: lower branch ends
-    switch_down = None  # 1 -> 3 going up: upper branch begins
-    for a, b in zip(counts, counts[1:]):
-        if a < 3 <= b:
-            switch_down = p_down
-        elif a >= 3 > b:
-            switch_up = p_up
-    return HysteresisTrace(powers=tuple(powers), table=table,
-                           switch_up=switch_up, switch_down=switch_down)
+    return HysteresisTrace(
+        powers=tuple(powers), table=table,
+        switch_up=p_up if np.any(three[:-1] & ~three[1:]) else None,
+        switch_down=p_down if np.any(~three[:-1] & three[1:]) else None)

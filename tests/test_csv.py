@@ -149,8 +149,4 @@ def test_figure2_builds_no_working_points(tmp_path, monkeypatch,
                                  default_physical.power, 300)
     trace = steady.hysteresis(default_model, powers, omega_L)
     assert made == []
-    points = trace.points
-    assert len(made) == len(trace.table.q_s) > len(powers)
-    assert trace.points is points
-    assert len(made) == len(trace.table.q_s)  # built once
-    assert any(len(pts) == 3 for pts in points)
+    assert 3 in trace.table.count.tolist()

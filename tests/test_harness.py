@@ -562,6 +562,17 @@ def test_a_raising_covariance_chain_raises_out_of_an_experimental_sweep(monkeypa
         sweep(_CHUNKED)
 
 
+def test_a_raising_covariance_chain_raises_out_of_a_theoretical_sweep(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken log negativity")
+
+    monkeypatch.setattr(quantum, "log_negativity", broken)
+    spec = SweepSpec(base=_model(), axis1=AxisSpec("eta", (0.25, 0.5)),
+                     axis2=AxisSpec("effective_detuning", (0.5, 1.0)))
+    with pytest.raises(RuntimeError, match="broken log negativity"):
+        sweep(spec)
+
+
 def test_sweep_meta_and_rate_columns_come_from_its_model(default_physical):
     # omega_m doubled and kappa tripled: kappa/omega_m = 1.4 * 3 / 2 = 2.1
     base = replace(default_physical, omega_m=2.0 * default_physical.omega_m,

@@ -18,12 +18,13 @@ from optomech_bistab.params import (
     laser_frequency,
 )
 from optomech_bistab.steady import (
+    _cubic_roots,
+    _working_points,
     bistability_parameter,
     bistable_window_estimate,
     hysteresis,
-    real_cubic_roots,
+    root_table,
     steady_states,
-    steady_states_grid,
     working_point_from_coupling,
     working_point_from_eta,
 )
@@ -141,28 +142,30 @@ def test_cubic_roots_match_numpy(b, c, d):
     disc = -4.0 * p ** 3 - 27.0 * q * q
     scale = max(abs(4.0 * p ** 3), 27.0 * q * q, 1e-300)
     assume(abs(disc) > 1e-8 * scale)  # root separation is unambiguous
-    roots, degenerate = real_cubic_roots(1.0, b, c, d)
+    (roots,), (count,), (degenerate,) = _cubic_roots(*np.array([[1.0], [b], [c], [d]]))
     assert not degenerate
     np_roots = np.roots([1.0, b, c, d])
     np_real = np.sort(np_roots[np.abs(np_roots.imag)
                                <= 1e-8 * np.abs(np_roots)].real)
-    assert len(roots) == len(np_real)
+    assert count == len(np_real)
     for mine, ref in zip(roots, np_real):
         assert mine == pytest.approx(ref, rel=1e-6, abs=1e-9)
 
 
 def test_cubic_triple_root():
     # (x - 2)^3 = x^3 - 6x^2 + 12x - 8
-    roots, degenerate = real_cubic_roots(1.0, -6.0, 12.0, -8.0)
+    (roots,), (count,), (degenerate,) = _cubic_roots(
+        *np.array([[1.0], [-6.0], [12.0], [-8.0]]))
     assert degenerate
-    assert roots == pytest.approx([2.0], abs=1e-9)
+    assert roots[:count] == pytest.approx([2.0], abs=1e-9)
 
 
 def test_cubic_double_root():
     # (x - 1)^2 (x + 2) = x^3 - 3x + 2
-    roots, degenerate = real_cubic_roots(1.0, 0.0, -3.0, 2.0)
+    (roots,), (count,), (degenerate,) = _cubic_roots(
+        *np.array([[1.0], [0.0], [-3.0], [2.0]]))
     assert degenerate
-    assert roots == pytest.approx([-2.0, 1.0], abs=1e-9)
+    assert roots[:count] == pytest.approx([-2.0, 1.0], abs=1e-9)
 
 
 # --- bistability parameter --------------------------------------------------
@@ -224,12 +227,12 @@ def test_hysteresis_window(default_model, default_physical):
     assert trace.switch_down == pytest.approx(p_down_ref, rel=1e-4)
     assert trace.switch_up == pytest.approx(p_up_ref, rel=1e-4)
 
-    for power, pts in zip(trace.powers, trace.points):
+    for power, count in zip(trace.powers, trace.table.count):
         inside = trace.switch_down < power < trace.switch_up
-        assert len(pts) == (3 if inside else 1)
+        assert count == (3 if inside else 1)
 
     # the sweeps disagree exactly inside the window
-    for power, pts in zip(trace.powers, trace.points):
+    for power, pts in zip(trace.powers, _working_points(trace.table)):
         inside = trace.switch_down < power < trace.switch_up
         assert (pts[0] is not pts[-1]) == inside
 
@@ -237,7 +240,7 @@ def test_hysteresis_window(default_model, default_physical):
     # so no switch is reported
     straddle = hysteresis(default_model, [0.9 * p_down_ref, 1.1 * p_up_ref],
                           omega_L)
-    assert [len(pts) for pts in straddle.points] == [1, 1]
+    assert straddle.table.count.tolist() == [1, 1]
     assert straddle.switch_down is None and straddle.switch_up is None
 
 
@@ -264,7 +267,7 @@ def test_hysteresis_grid_starting_inside_window(default_model,
     powers = np.linspace(0.5 * (p_down_ref + p_up_ref), 1.3 * p_up_ref, 30)
     trace = hysteresis(default_model, powers, omega_L)
     assert trace.switch_down is None and trace.switch_up is not None
-    for pts in trace.points:
+    for pts in _working_points(trace.table):
         assert len(pts) in (1, 3)
         assert pts[-1].branch == "upper"  # the down-sweep's point
 
@@ -275,7 +278,7 @@ def test_hysteresis_below_window(default_model, default_physical):
     powers = np.linspace(0.05 * p_down_ref, 0.5 * p_down_ref, 25)
     trace = hysteresis(default_model, powers, omega_L)
     assert trace.switch_up is None and trace.switch_down is None
-    assert all(len(pts) == 1 for pts in trace.points)
+    assert np.all(trace.table.count == 1)
 
 
 def test_hysteresis_linear_when_decoupled(reference_model, reference_physical):
@@ -283,7 +286,7 @@ def test_hysteresis_linear_when_decoupled(reference_model, reference_physical):
     omega_L = laser_frequency(reference_physical.wavelength)
     powers = np.linspace(1e-4, 0.1, 12)
     trace = hysteresis(mp, powers, omega_L)
-    for power, (wp,) in zip(trace.powers, trace.points):
+    for power, (wp,) in zip(trace.powers, _working_points(trace.table)):
         expected = 2.0 * power * mp.kappa / (
             HBAR * omega_L * (mp.kappa ** 2 + mp.delta0 ** 2))
         assert wp.photons == pytest.approx(expected, rel=1e-12)
@@ -297,10 +300,10 @@ def test_eta_vanishes_toward_turning_points(default_model, default_physical):
     for frac in (1e-1, 1e-2, 1e-3, 1e-4):
         up_trace = hysteresis(default_model, [p_up_ref - frac * width],
                               omega_L)
-        lower_end.append(up_trace.points[0][0].eta)
+        lower_end.append(up_trace.table.eta[0])
         down_trace = hysteresis(default_model, [p_down_ref + frac * width],
                                 omega_L)
-        upper_end.append(down_trace.points[0][-1].eta)
+        upper_end.append(down_trace.table.eta[-1])
     for etas in (lower_end, upper_end):
         assert all(b < a for a, b in zip(etas, etas[1:]))
         assert etas[-1] < 0.02
@@ -346,13 +349,38 @@ def test_hysteresis_rejects_non_finite_powers(default_model, default_physical,
 ])
 def test_non_finite_model_field_is_named(default_model, field, bad):
     with pytest.raises(ValidationError, match=f"^{field}: must be finite$"):
-        steady_states_grid(replace(default_model, **{field: bad}))
+        root_table(replace(default_model, **{field: bad}))
+
+
+# one field of the default model at a time; derive_model rejects each
+@pytest.mark.parametrize("field,value", [
+    ("kappa", 1e150), ("delta0", 1e150), ("G0", 1e-200), ("omega_m", 1e-300),
+])
+def test_out_of_range_cubic_names_its_model_field(default_model,
+                                                  default_physical, field,
+                                                  value):
+    mp = replace(default_model, **{field: value})
+    omega_L = laser_frequency(default_physical.wavelength)
+    for solve in (lambda: steady_states(mp),
+                  lambda: hysteresis(mp, [0.01, 0.05], omega_L)):
+        with pytest.raises(ValidationError, match="steady-state cubic") as exc:
+            solve()
+        assert field in str(exc.value).split(":")[0].split(", ")
+
+
+def test_working_points_hold_python_scalars(default_model, default_physical):
+    # a numpy bool would be written to a CSV as 1.0 instead of 1
+    trace = hysteresis(default_model, [0.01, 0.05],
+                       laser_frequency(default_physical.wavelength))
+    for wp in steady_states(default_model) + sum(_working_points(trace.table), []):
+        assert type(wp.stable) is bool and type(wp.branch) is str
+        assert type(wp.degenerate) is bool and type(wp.eta) is float
 
 
 def test_every_field_spans_the_grid(default_model):
     # the roots ignore nbar, but a temperature sweep is a grid of models
-    grid = steady_states_grid(replace(default_model,
-                                      nbar=np.array([0.0, 1.0, 2.0])))
+    grid = _working_points(root_table(replace(default_model,
+                                              nbar=np.array([0.0, 1.0, 2.0]))))
     assert grid == [steady_states(default_model)] * 3
 
 
@@ -471,7 +499,7 @@ def _mixed_models():
 def test_grid_solve_equals_one_model_solves(models):
     fields = zip(*(vars(mp).values() for mp in models))
     stacked = ModelParams(*(np.array(column) for column in fields))
-    grid = steady_states_grid(stacked)
+    grid = _working_points(root_table(stacked))
     assert len(grid) == len(models)
     for points, mp in zip(grid, models):
         assert points == steady_states(mp)
@@ -499,18 +527,18 @@ def test_hysteresis_sweeps_differ_only_inside_window(kappa_over_wm, lo, width,
     powers = np.linspace(lo * p_ref, (lo + width) * p_ref, n)
     trace = hysteresis(mp, powers, _OMEGA_L)
 
-    for power, points in zip(trace.powers, trace.points):
+    for power, points in zip(trace.powers, _working_points(trace.table)):
         E = drive_amplitude(power, mp.kappa, _OMEGA_L)
-        assert list(points) == steady_states(replace(mp, E=E))
+        assert points == steady_states(replace(mp, E=E))
     if window is None:
         assert trace.switch_down is None and trace.switch_up is None
-        assert all(len(pts) == 1 for pts in trace.points)
+        assert np.all(trace.table.count == 1)
         return
     p_down, p_up = window
     assert trace.switch_down in (None, p_down)
     assert trace.switch_up in (None, p_up)
-    for power, pts in zip(trace.powers, trace.points):
-        if len(pts) > 1:
+    for power, count in zip(trace.powers, trace.table.count):
+        if count > 1:
             # the discriminant tolerance may call a cubic degenerate a
             # relative ~1e-12 outside the exact window
             assert p_down * (1 - 1e-9) <= power <= p_up * (1 + 1e-9)
