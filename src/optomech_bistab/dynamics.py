@@ -106,23 +106,31 @@ def is_stable_rh(delta: float, G: float, kappa: float, omega_m: float) -> bool:
     return omega_m * (kappa * kappa + delta * delta) - G * G * delta > 0.0
 
 
+def spectral_decay(eig: np.ndarray) -> np.ndarray:
+    """Slowest decay rate -max Re(l) of a spectrum, or of each spectrum of
+    a stack (N, 4). A matrix is stable iff the rate of its spectrum is
+    positive, that is iff every eigenvalue has negative real part."""
+    return -eig.real.max(-1)
+
+
 def is_stable_spectral(A: np.ndarray) -> bool | list[bool]:
     """True iff every eigenvalue of A has strictly negative real part.
 
     A stack (N, 4, 4) gives the list of N verdicts from one eigenvalue
     call; each equals the verdict on that matrix alone.
     """
-    return (np.linalg.eigvals(A).real.max(axis=-1) < 0.0).tolist()
+    return (spectral_decay(np.linalg.eigvals(A)) > 0.0).tolist()
 
 
 def decay_rate(A: np.ndarray) -> float | np.ndarray:
     """Slowest decay rate -max Re(eig A); negative if A is unstable. A
     stack (N, 4, 4) gives the array of N rates from one eigenvalue call."""
-    rate = -np.linalg.eigvals(A).real.max(-1)
+    rate = spectral_decay(np.linalg.eigvals(A))
     return rate if rate.ndim else float(rate)
 
 
-def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+def solve_lyapunov(A: np.ndarray, D: np.ndarray,
+                   eig: np.ndarray | None = None) -> np.ndarray:
     """Unique symmetric V with A V + V A^T + D = 0.
 
     Solved for the 10 packed upper-triangle entries of V as one dense
@@ -141,13 +149,18 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     its own. A row where the one-matrix call would raise is NaN. Rows that
     fail the eigenvalue tests skip the stacked solve; where numpy rejects
     it for a singular matrix, each row is solved as a stack of its own.
+
+    ``eig`` is the spectrum of A (the (N, 4) eigenvalues of a stack), for
+    a caller that has it already, as ``quantum.covariance_rows`` has from
+    the root table; without it, it is computed from A.
     """
-    eig = np.linalg.eigvals(A)
-    worst = eig.real.max(-1)
+    if eig is None:
+        eig = np.linalg.eigvals(A)
+    decay = spectral_decay(eig)
     pair_min = np.abs(eig[..., :, None] + eig[..., None, :]).min(axis=(-2, -1))
     near_zero = pair_min < 1e-12 * np.abs(eig).max(-1)
     if A.ndim == 2:
-        if worst >= 0.0:
+        if decay <= 0.0:
             raise UnstableSystemError(eig[np.argmax(eig.real)])
         if near_zero:
             raise IllConditionedError(
@@ -163,14 +176,15 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray) -> np.ndarray:
         return V
 
     out = np.full(A.shape, np.nan)
-    rows = np.flatnonzero((worst < 0.0) & ~near_zero)
-    A, D = A[rows], D[rows]
+    rows = np.flatnonzero((decay > 0.0) & ~near_zero)
+    A, D, eig = A[rows], D[rows], eig[rows]
     M = (A.reshape(-1, 16) @ _MAP.T).reshape(-1, 10, 10)
     try:
         V = np.linalg.solve(M, -D[:, _I, _J, None])[:, _PACKED, 0]
     except np.linalg.LinAlgError:  # for the whole stack, if one matrix is singular
         if len(rows) > 1:
-            out[rows] = [solve_lyapunov(a[None], d[None])[0] for a, d in zip(A, D)]
+            out[rows] = [solve_lyapunov(a[None], d[None], e[None])[0]
+                         for a, d, e in zip(A, D, eig)]
         return out
     residual, bound = _residual_bound(A, V, D)
     out[rows[residual <= bound]] = V[residual <= bound]

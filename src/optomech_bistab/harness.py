@@ -249,9 +249,12 @@ def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
     order), and its root table give the steady-state fields. A model's
     roots are contiguous and ascending, so the branch pick is an index per
     model. The covariance chain of the stable, non-degenerate rows runs on
-    stacks of at most ``_CHUNK_ROWS`` rows (``quantum.covariance_rows``),
-    and its masks give the statuses ``evaluate_point`` gives. It builds no
-    ``WorkingPoint``; an exception of the stacked chain propagates.
+    stacks of at most ``_CHUNK_ROWS`` rows (``quantum.covariance_rows``)
+    and reads their drift spectra from the root table, so that the sweep
+    makes one eigenvalue call per pass of at most ``_CHUNK_ROWS`` live
+    rows. The chain's masks give the statuses ``evaluate_point`` gives. It
+    builds no ``WorkingPoint``; an exception of the stacked chain
+    propagates.
     """
     shape = tuple(len(axis.values) for axis in axes)
     grid = derive_model(replace(spec.base, **dict(zip(
@@ -269,7 +272,7 @@ def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
     live = np.flatnonzero(row["stable"] & ~t.degenerate[roots])
     for r in np.split(live, range(_CHUNK_ROWS, len(live), _CHUNK_ROWS)):
         marginal, conditioning, report = quantum.covariance_rows(
-            *(x[roots[r]] for x in (t.delta, t.G, t.photons)),
+            *(x[roots[r]] for x in (t.delta, t.G, t.photons, t.spectrum)),
             ModelParams(*(field[r] for field in model)))
         ok = ~np.isnan(report.e_n)
         row["status"][r[~ok]] = f"{STATUS_ERROR}:{PhysicalityError.__name__}"
@@ -277,6 +280,9 @@ def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
         row["status"][r[marginal]] = STATUS_MARGINAL
         for name, values in _report_fields(report).items():
             row[name][r[ok]] = values[ok]
+    # the lists outweigh the arrays: the root table (its spectra above all)
+    # and the row models are let go before they are built
+    del t, model
     return cells, {name: row[name].tolist() for name in _ROW_COLUMNS}
 
 

@@ -26,10 +26,10 @@ import numpy as np
 
 from .dynamics import (
     MARGINAL_DECAY_FRACTION,
-    decay_rate,
     diffusion_matrix,
     drift_from_rates,
     solve_lyapunov,
+    spectral_decay,
     split_blocks,
 )
 from .errors import PhysicalityError
@@ -150,22 +150,26 @@ def log_negativity(V: np.ndarray, photons: float | None = None) -> EntanglementR
 
 
 def covariance_rows(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
-                    mp: "ModelParams"
+                    eig: np.ndarray, mp: "ModelParams"
                     ) -> tuple[np.ndarray, np.ndarray, EntanglementReport]:
     """The covariance chain of ``harness.evaluate_point`` on a stack of
     stable working points: drift, decay rate, Lyapunov solve, report.
 
     ``delta``, ``G`` and ``photons`` are 1-D arrays of N rows, and so are
-    the fields of the ModelParams ``mp``. Returns the mask of marginal
-    rows (decay rate below MARGINAL_DECAY_FRACTION * omega_m), the mask of
-    rows whose Lyapunov solve raises alone, and the stacked report, which
-    is NaN on both and where the covariance is not physical. Every row is
-    bit-identical to the chain on that row alone.
+    the fields of the ModelParams ``mp``; ``eig`` holds the (N, 4)
+    eigenvalues of the rows' drift matrices (``steady.RootTable.spectrum``),
+    so that the decay rates and the Lyapunov solve's eigenvalue tests take
+    no eigenvalue call. Returns the mask of marginal rows (decay rate below
+    MARGINAL_DECAY_FRACTION * omega_m), the mask of rows whose Lyapunov
+    solve raises alone, and the stacked report, which is NaN on both and
+    where the covariance is not physical. Every row is bit-identical to
+    the chain on that row alone.
     """
     A = drift_from_rates(delta, G, mp.kappa, mp.omega_m, mp.gamma_m)
-    marginal = decay_rate(A) < MARGINAL_DECAY_FRACTION * mp.omega_m
+    marginal = spectral_decay(eig) < MARGINAL_DECAY_FRACTION * mp.omega_m
     V = np.full(A.shape, np.nan)
-    V[~marginal] = solve_lyapunov(A[~marginal], diffusion_matrix(mp)[~marginal])
+    V[~marginal] = solve_lyapunov(A[~marginal], diffusion_matrix(mp)[~marginal],
+                                  eig[~marginal])
     return marginal, ~marginal & np.isnan(V[:, 0, 0]), log_negativity(V, photons)
 
 

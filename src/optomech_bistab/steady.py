@@ -13,11 +13,14 @@ and the bistability parameter eta.
 The cubic is solved array-at-a-time: ``root_table`` takes model constants
 as broadcast numpy arrays (a power grid, an experimental sweep grid) and
 computes the closed-form roots, their Newton polish, the working-point
-quantities and one stacked spectral stability verdict for every grid
-point in one pass, into one root table: an array per field over all
-roots of the grid. ``steady_states`` is the one-model view of that table
-as ``WorkingPoint`` objects, so each result is bit-identical whether a
-model is solved alone or as part of a grid.
+quantities and the drift spectrum of every root, from one stacked
+eigenvalue call, for every grid point in one pass, into one root table:
+an array per field over all roots of the grid. The spectrum gives each
+root's stability verdict, and an experimental sweep's covariance chain
+reads its decay rates and Lyapunov eigenvalue tests from it.
+``steady_states`` is the one-model view of that table as ``WorkingPoint``
+objects, so each result is bit-identical whether a model is solved alone
+or as part of a grid.
 """
 
 from __future__ import annotations
@@ -56,10 +59,12 @@ class WorkingPoint:
 
 
 # All roots of a grid of models, in model order and ascending q_s within a
-# model, one numpy array per field. Per root: its model index and the
-# WorkingPoint fields; per model, ``count``, its root count.
+# model, one numpy array per field. Per root: its model index, the
+# WorkingPoint fields and ``spectrum``, the 4 eigenvalues of its drift
+# matrix ((N, 4), complex), from which ``stable`` is taken; per model,
+# ``count``, its root count.
 RootTable = namedtuple("RootTable", "model count q_s photons delta G eta "
-                                    "branch stable degenerate")
+                                    "branch stable degenerate spectrum")
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,9 +201,10 @@ def steady_states(mp: ModelParams) -> list[WorkingPoint]:
 
 def _working_points(t: RootTable) -> list[list[WorkingPoint]]:
     """The ``WorkingPoint`` view of a root table, one list per model: the
-    table's fields after ``count``, as Python floats, strs and bools."""
+    table's fields from ``q_s`` to ``degenerate``, as Python floats, strs
+    and bools."""
     points: list[list[WorkingPoint]] = [[] for _ in range(len(t.count))]
-    for r, *fields in zip(*(a.tolist() for a in (t.model, *t[2:]))):
+    for r, *fields in zip(*(a.tolist() for a in (t.model, *t[2:-1]))):
         points[r].append(WorkingPoint(*fields))
     return points
 
@@ -230,10 +236,12 @@ def root_table(mp: ModelParams) -> RootTable:
     together and each element of the flattened (C-order) broadcast shape
     is one model. Each model's roots equal those of that model solved
     alone: cubic roots and Newton polish run elementwise over the grid,
-    and the spectral stability verdicts of all roots come from one stacked
-    eigenvalue call. A non-finite field, a negative drive or a cubic out
-    of range (``params.cubic_overflows``) is a ValidationError naming
-    model fields.
+    and the drift spectra of all roots come from one stacked eigenvalue
+    call. The table keeps them (``spectrum``), and each root's stability
+    verdict is taken from its spectrum (``dynamics.spectral_decay``). A
+    non-finite field, a negative drive, a cubic out of range
+    (``params.cubic_overflows``) or a drive whose square overflows is a
+    ValidationError naming model fields.
     """
     # nbar broadcasts too, so that a temperature grid is a grid of models
     kappa, G0, E, delta0, omega_m, gamma_m, _ = fields = [
@@ -268,6 +276,10 @@ def root_table(mp: ModelParams) -> RootTable:
         if overflows.any():
             raise ValidationError(f"{names}: out of range, {term} overflows "
                                   "the steady-state cubic")
+    with np.errstate(over="ignore"):
+        # the photon number's E^2; of a cubic it is checked just above
+        if not np.all(np.isfinite(E * E)):
+            raise ValidationError("E: too large, its square overflows")
     if cubic.any():
         roots[cubic], count[cubic], degenerate[cubic] = _cubic_roots(
             c3[cubic], c2[cubic], c1[cubic], c0[cubic])
@@ -292,11 +304,12 @@ def root_table(mp: ModelParams) -> RootTable:
     photons = E * E / (kappa * kappa + delta * delta)
     G = math.sqrt(2.0) * G0 * np.sqrt(photons)
     eta = bistability_parameter(delta, G, kappa, omega_m)
-    stable = np.array(dynamics.is_stable_spectral(
-        dynamics.drift_from_rates(delta, G, kappa, omega_m, gamma_m)), dtype=bool)
+    spectrum = np.linalg.eigvals(
+        dynamics.drift_from_rates(delta, G, kappa, omega_m, gamma_m))
     return RootTable(model=row, count=count, q_s=q, photons=photons,
-                     delta=delta, G=G, eta=eta, branch=branch, stable=stable,
-                     degenerate=double)
+                     delta=delta, G=G, eta=eta, branch=branch,
+                     stable=dynamics.spectral_decay(spectrum) > 0.0,
+                     degenerate=double, spectrum=spectrum)
 
 
 def _square(x, name: str):

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from optomech_bistab import steady
+from optomech_bistab.csvfile import _BLOCK_ROWS
 from optomech_bistab.harness import (
     SweepResult,
     _default_power_grid,
@@ -77,11 +78,18 @@ def _results(draw) -> SweepResult:
     return SweepResult(columns, meta={"k": "v"})
 
 
+# the cells that repr of a list gives in words, and a finite float
+_BLOCK_FLOATS = (math.nan, None, math.inf, -math.inf, -0.0, 0.1)
+
+
 @settings(max_examples=50, deadline=None)
 @given(_results())
 @example(SweepResult(  # None among bools and among strings, as sweeps write
     columns={"validity_ok": [True, None, False],
              "status": ["ok", "unstable", None]}))
+@example(SweepResult(  # one block and one row more
+    columns={"x": [_BLOCK_FLOATS[k % 6] for k in range(_BLOCK_ROWS + 1)],
+             "ok": [k % 4 == 0 for k in range(_BLOCK_ROWS + 1)]}))
 def test_write_csv_equals_per_value_reference(tmp_path_factory, result):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     try:

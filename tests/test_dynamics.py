@@ -15,6 +15,7 @@ from optomech_bistab.dynamics import (
     is_stable_rh,
     is_stable_spectral,
     solve_lyapunov,
+    spectral_decay,
     split_blocks,
     symplectic_eigenvalues,
 )
@@ -295,6 +296,12 @@ def test_stacked_calls_equal_one_matrix_calls(problems):
     D = np.array([d for _, d in problems])
     rates, V = decay_rate(A), solve_lyapunov(A, D)
     assert rates.shape == (len(problems),) and V.shape == A.shape
+    # spectra from other eigenvalue calls, as a root table supplies them
+    eig = np.array([np.linalg.eigvals(a) for a in A])
+    assert np.array_equal(spectral_decay(eig), rates)
+    supplied = solve_lyapunov(A, D, eig)
+    assert np.array_equal(supplied, V, equal_nan=True)
+    assert np.array_equal(np.signbit(supplied), np.signbit(V))
     for k, (a, d) in enumerate(problems):
         assert rates[k] == decay_rate(a)
         try:

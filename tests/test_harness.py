@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from optomech_bistab import __version__, harness, quantum
+from optomech_bistab import __version__, dynamics, harness, quantum
 from optomech_bistab.dynamics import (
     LYAPUNOV_RESIDUAL_C,
     diffusion_matrix,
@@ -513,6 +513,28 @@ def _chunked_rows():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness, "_CHUNK_ROWS", 4)
         return _rows(sweep(_CHUNKED))
+
+
+def test_an_experimental_sweep_takes_one_spectrum_per_root(monkeypatch):
+    # the covariance chain reads the root table's spectra: one eigenvalue
+    # call for the stability verdicts, none for decay rates or the solve
+    eigvals, decay_rate, calls = np.linalg.eigvals, dynamics.decay_rate, []
+
+    def counting_eigvals(A):
+        calls.append("eigvals")
+        return eigvals(A)
+
+    def counting_decay_rate(A):
+        calls.append("decay_rate")
+        return decay_rate(A)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    for module in (dynamics, quantum):
+        if getattr(module, "decay_rate", None) is decay_rate:
+            monkeypatch.setattr(module, "decay_rate", counting_decay_rate)
+    statuses = sweep(_CHUNKED).columns["status"]
+    assert "ok" in statuses and len(statuses) <= harness._CHUNK_ROWS
+    assert calls == ["eigvals"]
 
 
 def test_a_singular_system_changes_only_its_own_row(monkeypatch):

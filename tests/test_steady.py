@@ -368,6 +368,13 @@ def test_out_of_range_cubic_names_its_model_field(default_model,
         assert field in str(exc.value).split(":")[0].split(", ")
 
 
+def test_decoupled_drive_whose_square_overflows_is_named(default_model):
+    # a decoupled model solves no cubic, so the cubic's range rule skips it
+    with pytest.raises(ValidationError,
+                       match="^E: too large, its square overflows$"):
+        steady_states(replace(default_model, G0=0.0, E=1e200))
+
+
 def test_working_points_hold_python_scalars(default_model, default_physical):
     # a numpy bool would be written to a CSV as 1.0 instead of 1
     trace = hysteresis(default_model, [0.01, 0.05],
