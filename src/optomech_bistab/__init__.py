@@ -20,7 +20,6 @@ from .dynamics import (
 from .errors import (
     IllConditionedError,
     IntegrationError,
-    OutOfRegimeError,
     PhysicalityError,
     UnstableSystemError,
     ValidationError,
@@ -66,7 +65,6 @@ __all__ = [
     "IllConditionedError",
     "IntegrationError",
     "ModelParams",
-    "OutOfRegimeError",
     "PhysicalParams",
     "PhysicalityError",
     "SweepResult",

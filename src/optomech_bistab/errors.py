@@ -1,18 +1,12 @@
 """Exception types shared across the package.
 
 The CLI maps ValidationError to exit code 2 and the numerical failures
-to exit code 3. OutOfRegimeError comes only from library calls made
-outside their regime (``dynamics.is_stable_rh`` at Delta <= 0), which no
-CLI path makes.
+to exit code 3.
 """
 
 
 class ValidationError(ValueError):
     """Bad user input: parameters, config files, grids, sweep specs."""
-
-
-class OutOfRegimeError(ValueError):
-    """Operation evaluated outside its regime of validity (e.g. Delta <= 0)."""
 
 
 class UnstableSystemError(RuntimeError):

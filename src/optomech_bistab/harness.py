@@ -248,13 +248,12 @@ def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
     One grid model, ``axes[k]`` on dimension k (its C order is the cell
     order), and its root table give the steady-state fields. A model's
     roots are contiguous and ascending, so the branch pick is an index per
-    model. The covariance chain of the stable, non-degenerate rows runs on
-    stacks of at most ``_CHUNK_ROWS`` rows (``quantum.covariance_rows``)
-    and reads their drift spectra from the root table, so that the sweep
-    makes one eigenvalue call per pass of at most ``_CHUNK_ROWS`` live
-    rows. The chain's masks give the statuses ``evaluate_point`` gives. It
-    builds no ``WorkingPoint``; an exception of the stacked chain
-    propagates.
+    model. The covariance chain of the live rows (the selected, stable,
+    non-degenerate roots) runs on stacks of at most ``_CHUNK_ROWS`` rows
+    (``quantum.covariance_rows``), each with one eigenvalue call, so that
+    the sweep takes spectra of its live rows only. The chain's masks give
+    the statuses ``evaluate_point`` gives. It builds no ``WorkingPoint``;
+    an exception of the stacked chain propagates.
     """
     shape = tuple(len(axis.values) for axis in axes)
     grid = derive_model(replace(spec.base, **dict(zip(
@@ -272,7 +271,7 @@ def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
     live = np.flatnonzero(row["stable"] & ~t.degenerate[roots])
     for r in np.split(live, range(_CHUNK_ROWS, len(live), _CHUNK_ROWS)):
         marginal, conditioning, report = quantum.covariance_rows(
-            *(x[roots[r]] for x in (t.delta, t.G, t.photons, t.spectrum)),
+            *(x[roots[r]] for x in (t.delta, t.G, t.photons)),
             ModelParams(*(field[r] for field in model)))
         ok = ~np.isnan(report.e_n)
         row["status"][r[~ok]] = f"{STATUS_ERROR}:{PhysicalityError.__name__}"
@@ -280,8 +279,8 @@ def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
         row["status"][r[marginal]] = STATUS_MARGINAL
         for name, values in _report_fields(report).items():
             row[name][r[ok]] = values[ok]
-    # the lists outweigh the arrays: the root table (its spectra above all)
-    # and the row models are let go before they are built
+    # the lists outweigh the arrays: the root table and the row models are
+    # let go before they are built
     del t, model
     return cells, {name: row[name].tolist() for name in _ROW_COLUMNS}
 

@@ -150,22 +150,22 @@ def log_negativity(V: np.ndarray, photons: float | None = None) -> EntanglementR
 
 
 def covariance_rows(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
-                    eig: np.ndarray, mp: "ModelParams"
+                    mp: "ModelParams"
                     ) -> tuple[np.ndarray, np.ndarray, EntanglementReport]:
     """The covariance chain of ``harness.evaluate_point`` on a stack of
     stable working points: drift, decay rate, Lyapunov solve, report.
 
     ``delta``, ``G`` and ``photons`` are 1-D arrays of N rows, and so are
-    the fields of the ModelParams ``mp``; ``eig`` holds the (N, 4)
-    eigenvalues of the rows' drift matrices (``steady.RootTable.spectrum``),
-    so that the decay rates and the Lyapunov solve's eigenvalue tests take
-    no eigenvalue call. Returns the mask of marginal rows (decay rate below
-    MARGINAL_DECAY_FRACTION * omega_m), the mask of rows whose Lyapunov
-    solve raises alone, and the stacked report, which is NaN on both and
-    where the covariance is not physical. Every row is bit-identical to
-    the chain on that row alone.
+    the fields of the ModelParams ``mp``. One stacked eigenvalue call
+    gives the spectra of the rows' drift matrices, from which the decay
+    rates and the Lyapunov solve's eigenvalue tests are read. Returns the
+    mask of marginal rows (decay rate below MARGINAL_DECAY_FRACTION *
+    omega_m), the mask of rows whose Lyapunov solve raises alone, and the
+    stacked report, which is NaN on both and where the covariance is not
+    physical. Every row is bit-identical to the chain on that row alone.
     """
     A = drift_from_rates(delta, G, mp.kappa, mp.omega_m, mp.gamma_m)
+    eig = np.linalg.eigvals(A)
     marginal = spectral_decay(eig) < MARGINAL_DECAY_FRACTION * mp.omega_m
     V = np.full(A.shape, np.nan)
     V[~marginal] = solve_lyapunov(A[~marginal], diffusion_matrix(mp)[~marginal],

@@ -13,11 +13,11 @@ and the bistability parameter eta.
 The cubic is solved array-at-a-time: ``root_table`` takes model constants
 as broadcast numpy arrays (a power grid, an experimental sweep grid) and
 computes the closed-form roots, their Newton polish, the working-point
-quantities and the drift spectrum of every root, from one stacked
-eigenvalue call, for every grid point in one pass, into one root table:
-an array per field over all roots of the grid. The spectrum gives each
-root's stability verdict, and an experimental sweep's covariance chain
-reads its decay rates and Lyapunov eigenvalue tests from it.
+quantities and the stability verdict of every root for every grid point
+in one pass, into one root table: an array per field over all roots of
+the grid. The table holds no spectra: each verdict comes from the
+Hurwitz conditions on the root's rates (``dynamics.is_stable_rh``), with
+no eigenvalue call.
 ``steady_states`` is the one-model view of that table as ``WorkingPoint``
 objects, so each result is bit-identical whether a model is solved alone
 or as part of a grid.
@@ -54,17 +54,15 @@ class WorkingPoint:
     G: float              # enhanced coupling, rad/s
     eta: float            # bistability parameter
     branch: str           # lower | middle | upper | synthetic
-    stable: bool          # spectral verdict on the drift matrix
+    stable: bool          # Hurwitz verdict on the drift matrix
     degenerate: bool = False  # double root exactly at a turning point
 
 
 # All roots of a grid of models, in model order and ascending q_s within a
-# model, one numpy array per field. Per root: its model index, the
-# WorkingPoint fields and ``spectrum``, the 4 eigenvalues of its drift
-# matrix ((N, 4), complex), from which ``stable`` is taken; per model,
-# ``count``, its root count.
+# model, one numpy array per field. Per root: its model index and the
+# WorkingPoint fields; per model, ``count``, its root count.
 RootTable = namedtuple("RootTable", "model count q_s photons delta G eta "
-                                    "branch stable degenerate spectrum")
+                                    "branch stable degenerate")
 
 
 @dataclass(frozen=True, eq=False)
@@ -201,10 +199,9 @@ def steady_states(mp: ModelParams) -> list[WorkingPoint]:
 
 def _working_points(t: RootTable) -> list[list[WorkingPoint]]:
     """The ``WorkingPoint`` view of a root table, one list per model: the
-    table's fields from ``q_s`` to ``degenerate``, as Python floats, strs
-    and bools."""
+    table's fields from ``q_s`` on, as Python floats, strs and bools."""
     points: list[list[WorkingPoint]] = [[] for _ in range(len(t.count))]
-    for r, *fields in zip(*(a.tolist() for a in (t.model, *t[2:-1]))):
+    for r, *fields in zip(*(a.tolist() for a in (t.model, *t[2:]))):
         points[r].append(WorkingPoint(*fields))
     return points
 
@@ -235,12 +232,11 @@ def root_table(mp: ModelParams) -> RootTable:
     Any field of ``mp`` may be a numpy array; the fields broadcast
     together and each element of the flattened (C-order) broadcast shape
     is one model. Each model's roots equal those of that model solved
-    alone: cubic roots and Newton polish run elementwise over the grid,
-    and the drift spectra of all roots come from one stacked eigenvalue
-    call. The table keeps them (``spectrum``), and each root's stability
-    verdict is taken from its spectrum (``dynamics.spectral_decay``). A
-    non-finite field, a negative drive, a cubic out of range
-    (``params.cubic_overflows``) or a drive whose square overflows is a
+    alone: cubic roots, Newton polish and the Hurwitz stability verdict
+    (``dynamics.is_stable_rh``) run elementwise over the grid, and no
+    eigenvalue is computed. A non-finite field, a negative drive, a cubic
+    out of range (``params.cubic_overflows``), a drive whose square
+    overflows or a decoupled model whose photon number is not finite is a
     ValidationError naming model fields.
     """
     # nbar broadcasts too, so that a temperature grid is a grid of models
@@ -301,15 +297,17 @@ def root_table(mp: ModelParams) -> RootTable:
     kappa, G0, E, delta0, omega_m, gamma_m = (
         a[row] for a in (kappa, G0, E, delta0, omega_m, gamma_m))
     delta = delta0 - G0 * q
-    photons = E * E / (kappa * kappa + delta * delta)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        photons = E * E / (kappa * kappa + delta * delta)
+    if not np.all(np.isfinite(photons)):  # a decoupled model's, at q = 0
+        raise ValidationError("E, kappa, delta0: the photon number "
+                              "E^2/(kappa^2 + Delta^2) is not finite")
     G = math.sqrt(2.0) * G0 * np.sqrt(photons)
     eta = bistability_parameter(delta, G, kappa, omega_m)
-    spectrum = np.linalg.eigvals(
-        dynamics.drift_from_rates(delta, G, kappa, omega_m, gamma_m))
     return RootTable(model=row, count=count, q_s=q, photons=photons,
                      delta=delta, G=G, eta=eta, branch=branch,
-                     stable=dynamics.spectral_decay(spectrum) > 0.0,
-                     degenerate=double, spectrum=spectrum)
+                     stable=dynamics.is_stable_rh(delta, G, kappa, omega_m, gamma_m),
+                     degenerate=double)
 
 
 def _square(x, name: str):

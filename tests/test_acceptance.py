@@ -118,7 +118,7 @@ def test_criterion_04_stability_agreement():
         gamma = 10.0 ** rng.uniform(-6.0, -2.0)
         g = rng.uniform(0.0, 1.5) * math.sqrt(
             (kappa ** 2 + delta ** 2) / delta)
-        rh = is_stable_rh(delta, g, kappa, 1.0)
+        rh = is_stable_rh(delta, g, kappa, 1.0, gamma)
         spectral = is_stable_spectral(
             drift_from_rates(delta, g, kappa, 1.0, gamma))
         if rh != spectral:
@@ -169,7 +169,7 @@ def test_criterion_06_hysteresis_reproduction(default_physical):
         if inside:
             middle = pts[1]
             middle_ok &= not is_stable_rh(middle.delta, middle.G, mp.kappa,
-                                          mp.omega_m)
+                                          mp.omega_m, mp.gamma_m)
     pin_ok = (abs(trace.switch_down - SWITCH_DOWN_PIN_W)
               <= 5e-6 * SWITCH_DOWN_PIN_W
               and abs(trace.switch_up - SWITCH_UP_PIN_W)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -22,7 +23,6 @@ from optomech_bistab.dynamics import (
 from optomech_bistab.errors import (
     IllConditionedError,
     IntegrationError,
-    OutOfRegimeError,
     PhysicalityError,
     UnstableSystemError,
 )
@@ -81,18 +81,36 @@ def test_diffusion_matrix_entries():
 # --- stability ----------------------------------------------------------------
 
 def test_rh_trivial_cases():
-    assert is_stable_rh(1.0, 0.0, 1.4, 1.0)
+    assert is_stable_rh(1.0, 0.0, 1.4, 1.0, 1e-4)
     boundary_g = math.sqrt(1.0 * (1.4 ** 2 + 1.0) / 1.0)
-    assert not is_stable_rh(1.0, boundary_g, 1.4, 1.0)
-    with pytest.raises(OutOfRegimeError):
-        is_stable_rh(0.0, 0.5, 1.4, 1.0)
-    with pytest.raises(OutOfRegimeError):
-        is_stable_rh(-0.5, 0.5, 1.4, 1.0)
+    assert not is_stable_rh(1.0, boundary_g, 1.4, 1.0, 1e-4)
+    # at Delta <= 0, a4 > 0 always: only H3 (the Hopf term) can fail
+    assert is_stable_rh(0.0, 0.5, 1.4, 1.0, 1e-4)
+    assert not is_stable_rh(-1.0, 0.5, 0.1, 1.0, 1e-4)   # Hopf-unstable
+    assert is_stable_rh(-1.0, 1e-3, 0.1, 1.0, 1e-4)      # small G
+    for delta, G in ((-1.0, 0.5), (-1.0, 1e-3), (0.0, 0.5)):
+        assert is_stable_rh(delta, G, 0.1, 1.0, 1e-4) == is_stable_spectral(
+            drift_from_rates(delta, G, 0.1, 1.0, 1e-4))
+    # gamma_m = 0 or kappa = 0: the coupling damps the undamped mode
+    # through the other one, and an uncoupled undamped mode is marginal
+    assert is_stable_rh(1.0, 0.5, 1.4, 1.0, 0.0)
+    assert is_stable_rh(1.0, 0.5, 0.0, 1.0, 1e-4)
+    assert not is_stable_rh(1.0, 0.0, 1.4, 1.0, 0.0)
+    assert not is_stable_rh(1.0, 0.0, 0.0, 1.0, 1e-4)
 
 
 def test_rh_worked_example():
     # omega*(kappa^2 + delta^2) - G^2*delta = 2.96 - 0.25 > 0
-    assert is_stable_rh(1.0, 0.5, 1.4, 1.0)
+    assert is_stable_rh(1.0, 0.5, 1.4, 1.0, 1e-4)
+
+
+def test_rh_takes_broadcast_arrays():
+    delta = np.array([1.0, -1.0, -1.0])
+    G = np.array([0.5, 0.5, 1e-3])
+    assert is_stable_rh(delta, G, 0.1, 1.0, 1e-4).tolist() == [True, False, True]
+    # scaled by a power of two, the verdict neither overflows nor changes
+    assert is_stable_rh(1e200 * delta, 1e200 * G, 1e199, 1e200, 1e196).tolist() \
+        == [True, False, True]
 
 
 def test_stable_point_eigenvalues_negative(default_model):
@@ -122,9 +140,31 @@ def test_rh_agrees_with_spectrum(rng):
         gamma = 10 ** rng.uniform(-6, -2)
         g = rng.uniform(0.0, 2.0) * math.sqrt(
             (kappa ** 2 + delta ** 2) / delta)
-        rh = is_stable_rh(delta, g, kappa, 1.0)
+        rh = is_stable_rh(delta, g, kappa, 1.0, gamma)
         A = drift_from_rates(delta, g, kappa, 1.0, gamma)
         assert rh == is_stable_spectral(A)
+
+
+@given(delta=st.floats(-3.0, 3.0), coupling=st.floats(0.0, 2.0),
+       log_kappa=st.floats(-6.0, 0.5), log_gamma=st.floats(-9.0, -2.0))
+@settings(max_examples=500, deadline=None)
+def test_rh_equals_spectral_verdict_for_either_sign_of_delta(
+        delta, coupling, log_kappa, log_gamma):
+    kappa, gamma = 10.0 ** log_kappa, 10.0 ** log_gamma
+    # G up to twice the static instability threshold at |Delta|, which at
+    # Delta < 0 reaches into the Hopf-unstable region
+    G = coupling * math.sqrt((kappa ** 2 + delta ** 2) / max(abs(delta), 1e-3))
+    A = drift_from_rates(delta, G, kappa, 1.0, gamma)
+    decay = spectral_decay(np.linalg.eigvals(A))
+    # a decay within the round-off of the slowest eigenvalue has no sign to
+    # compare: the backward error 64 eps max|A| times the eigenvalue's
+    # condition number 1/|y^H x|, y and x its unit left and right vectors.
+    # On the boundary itself (coupling 1) that round-off is ~100 eps.
+    eig, left, right = scipy.linalg.eig(A, left=True, right=True)
+    k = np.argmax(eig.real)
+    condition = 1.0 / abs(left[:, k].conj() @ right[:, k])
+    assume(abs(decay) > 64 * np.finfo(float).eps * np.abs(A).max() * condition)
+    assert is_stable_rh(delta, G, kappa, 1.0, gamma) == (decay > 0.0)
 
 
 # --- Lyapunov solver ----------------------------------------------------------

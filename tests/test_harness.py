@@ -515,13 +515,13 @@ def _chunked_rows():
         return _rows(sweep(_CHUNKED))
 
 
-def test_an_experimental_sweep_takes_one_spectrum_per_root(monkeypatch):
-    # the covariance chain reads the root table's spectra: one eigenvalue
-    # call for the stability verdicts, none for decay rates or the solve
+def test_an_experimental_sweep_takes_spectra_of_its_live_rows_only(monkeypatch):
+    # the roots' verdicts are Hurwitz, the chain's one eigenvalue call per
+    # chunk takes the live rows, and decay rates and the solve reuse it
     eigvals, decay_rate, calls = np.linalg.eigvals, dynamics.decay_rate, []
 
     def counting_eigvals(A):
-        calls.append("eigvals")
+        calls.append(len(A))
         return eigvals(A)
 
     def counting_decay_rate(A):
@@ -532,9 +532,20 @@ def test_an_experimental_sweep_takes_one_spectrum_per_root(monkeypatch):
     for module in (dynamics, quantum):
         if getattr(module, "decay_rate", None) is decay_rate:
             monkeypatch.setattr(module, "decay_rate", counting_decay_rate)
-    statuses = sweep(_CHUNKED).columns["status"]
-    assert "ok" in statuses and len(statuses) <= harness._CHUNK_ROWS
-    assert calls == ["eigvals"]
+    columns = sweep(_CHUNKED).columns
+    live = sum(s and b != "degenerate" for s, b in zip(columns["stable"],
+                                                       columns["status"]))
+    assert "ok" in columns["status"] and live < len(columns["status"]) <= harness._CHUNK_ROWS
+    assert calls == [live]
+
+
+def test_undriven_rows_of_nearly_undamped_mechanics_are_marginal():
+    # gamma_m / 2 = 5e-10 is below the round-off of the eigenvalues, whose
+    # sign once made these rows unstable: the Hurwitz verdict is exact
+    columns = sweep(_STATUS_SWEEPS["degenerate"]).columns
+    undriven = [s for p, s in zip(columns["P_in_W"], columns["status"]) if p == 0.0]
+    assert undriven == ["marginal"] * 4
+    assert all(s for p, s in zip(columns["P_in_W"], columns["stable"]) if p == 0.0)
 
 
 def test_a_singular_system_changes_only_its_own_row(monkeypatch):

@@ -88,14 +88,9 @@ def test_three_roots_inside_window(default_model):
     for wp, q_ref in zip(pts, oracle):
         assert wp.q_s == pytest.approx(q_ref, rel=1e-4)
 
-    lower, middle, upper = pts
-    assert dynamics.is_stable_rh(lower.delta, lower.G, default_model.kappa,
-                                 default_model.omega_m)
-    assert not dynamics.is_stable_rh(middle.delta, middle.G,
-                                     default_model.kappa,
-                                     default_model.omega_m)
-    assert dynamics.is_stable_rh(upper.delta, upper.G, default_model.kappa,
-                                 default_model.omega_m)
+    mp = default_model
+    assert [dynamics.is_stable_rh(wp.delta, wp.G, mp.kappa, mp.omega_m, mp.gamma_m)
+            for wp in pts] == [True, False, True]
 
 
 def test_root_residual_contract(default_model):
@@ -125,7 +120,7 @@ def test_eta_sign_matches_routh_hurwitz(default_physical, rng):
             if wp.delta <= 0:
                 continue
             verdict = dynamics.is_stable_rh(wp.delta, wp.G, mp.kappa,
-                                            mp.omega_m)
+                                            mp.omega_m, mp.gamma_m)
             assert (wp.eta > 0) == verdict
 
 
@@ -320,7 +315,7 @@ def test_stable_red_detuned_eta_within_unit_interval(default_physical, rng):
         if len(points) == 3:
             middle = points[1]
             assert middle.eta <= 0.0 or not dynamics.is_stable_rh(
-                middle.delta, middle.G, mp.kappa, mp.omega_m)
+                middle.delta, middle.G, mp.kappa, mp.omega_m, mp.gamma_m)
 
 
 def test_hysteresis_validation(default_model, default_physical):
@@ -373,6 +368,30 @@ def test_decoupled_drive_whose_square_overflows_is_named(default_model):
     with pytest.raises(ValidationError,
                        match="^E: too large, its square overflows$"):
         steady_states(replace(default_model, G0=0.0, E=1e200))
+
+
+@pytest.mark.parametrize("fields", [
+    dict(kappa=0.0, delta0=0.0),                 # E^2 / 0
+    dict(kappa=1e-200, delta0=0.0),              # kappa^2 underflows to 0
+    dict(E=1e150, kappa=1e-100, delta0=0.0),     # E^2 / kappa^2 overflows
+])
+def test_decoupled_model_whose_photon_number_is_not_finite_is_named(
+        default_model, fields):
+    with pytest.raises(ValidationError, match="^E, kappa, delta0: "):
+        steady_states(replace(default_model, G0=0.0, **fields))
+
+
+def test_root_table_and_hysteresis_make_no_eigenvalue_call(
+        default_model, default_physical, monkeypatch):
+    def no_eigvals(A):
+        raise AssertionError("eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_eigvals)
+    t = root_table(replace(default_model, E=np.array([0.0, default_model.E])))
+    assert t.stable.tolist() == [True, True, False, True]
+    trace = hysteresis(default_model, np.linspace(0.0, 0.1, 50),
+                       laser_frequency(default_physical.wavelength))
+    assert not trace.table.stable.all() and trace.table.stable.any()
 
 
 def test_working_points_hold_python_scalars(default_model, default_physical):
