@@ -2,11 +2,11 @@
 
 A file is one line naming the package version and a timestamp, one
 ``# key=value`` line per meta entry in sorted key order, the column header
-and one line per row. Cells are not quoted: floats as ``repr``, bools as
-1/0, None and NaN as NaN, strings verbatim. Rows are written in blocks of
-``_BLOCK_ROWS``: a column of floats and None is formatted a block at a
-time by one ``repr`` of the block's list, and each block's lines are
-joined at once.
+and one line per row. Cells are not quoted: floats as ``repr``, bools
+(numpy's too) as 1/0, None and NaN as NaN, strings verbatim. Rows are
+written in blocks of ``_BLOCK_ROWS``, each block's lines joined at once; a
+float64 array is formatted a block at a time, by one ``repr`` of the
+block's list, so that one block of it is alive as Python floats.
 """
 
 from __future__ import annotations
@@ -15,10 +15,12 @@ import datetime
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import SweepResult
 
-# cell text of None and the bools
+# cell text of None and the bools; numpy's bools hash and compare alike
 _WORDS = {None: "NaN", True: "1", False: "0"}
 
 # rows formatted and written at once. The text of a block's cells is held
@@ -28,32 +30,28 @@ _WORDS = {None: "NaN", True: "1", False: "0"}
 _BLOCK_ROWS = 512
 
 
-def _float_cells(values: list) -> list[str]:
-    """CSV cells of a non-empty list of floats and None, from one repr of
-    the list: repr(float) per value, None and NaN as NaN."""
-    text = repr(values)[1:-1].replace("nan", "NaN").replace("None", "NaN")
-    return text.split(", ")
+def _word(value) -> str:
+    """A cell the loop of ``_column_cells`` does not write inline: numpy
+    bools as 1/0, str subclasses verbatim, numbers as repr(float), NaN as NaN."""
+    if isinstance(value, np.bool_):
+        return _WORDS[value]
+    if isinstance(value, str):
+        return str.__str__(value)
+    return repr(float(value)).replace("nan", "NaN")
 
 
-def _column_cells(name: str, values: list):
-    """CSV cells of one column, as a function of a slice of rows: strings
-    verbatim, bools as 1/0, None and NaN as NaN, any other value as
-    repr(float(value)). A column of floats and None is formatted one
-    slice at a time; any other column at once, and checked here for text
-    that cannot go unquoted."""
-    kinds = set(map(type, values))
-    # a list, so that the repr of a slice is a list's
-    if type(values) is not list or not kinds <= {float, str, bool, type(None)}:
-        values = [v if v is None or isinstance(v, bool) else str.__str__(v)
-                  if isinstance(v, str) else float(v) for v in values]
-        kinds = set(map(type, values))
-    if kinds <= {float, type(None)}:  # repr holds no comma or line break
-        return lambda rows: _float_cells(values[rows])
-    if kinds <= {str, bool, type(None)}:  # no key of _WORDS equals a str
-        cells = list(map(_WORDS.get, values, values))
-    else:  # floats among words
-        cells = [_float_cells([v])[0] if type(v) is float else _WORDS.get(v, v)
-                 for v in values]
+def _column_cells(name: str, values):
+    """CSV cells of one column, as a function of a slice of rows: a float64
+    array one slice at a time (a float's repr holds no comma or line break),
+    any other column a value at a time, at once, checked here for text that
+    cannot go unquoted."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == np.float64:
+            return lambda rows: repr(values[rows].tolist())[1:-1] \
+                .replace("nan", "NaN").split(", ")
+        values = values.tolist()
+    cells = [v if type(v) is str else _WORDS[v] if v is None or type(v) is bool
+             else _word(v) for v in values]
     joined = "".join(cells)
     if "," in joined or "\n" in joined or "\r" in joined:
         raise ValueError(f"write_csv: column {name!r} holds a comma or a "

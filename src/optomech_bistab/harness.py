@@ -108,9 +108,11 @@ class SweepSpec:
 @dataclass
 class SweepResult:
     """A CSV table: ``columns`` maps each column name, in CSV order, to the
-    list of its values, one per row; ``meta`` holds the ``#`` lines."""
+    1-D array of its values, one per row: float64 numbers (NaN for none),
+    bool flags, str labels, and True, False or None for ``validity_ok``.
+    ``meta`` holds the ``#`` lines. ``write_csv`` also takes lists."""
 
-    columns: dict[str, list]
+    columns: dict[str, np.ndarray]
     meta: dict = field(default_factory=dict)
 
 
@@ -173,30 +175,24 @@ def _point_fields(wp, mp: ModelParams) -> dict:
         wp.G / mp.omega_m, wp.eta, wp.stable)))
 
 
-def _root_columns(powers, t: steady.RootTable, mp: ModelParams) -> dict:
-    """P_in_W (``powers`` per model) and ``_point_fields`` of every root."""
-    return {"P_in_W": np.array(powers)[t.model].tolist(),
-            **{name: v.tolist() for name, v in _point_fields(t, mp).items()}}
-
-
 def _report_fields(report: quantum.EntanglementReport) -> dict:
-    """The covariance-derived fields of a CSV row, in ``_COVARIANCE_COLUMNS``
-    order; numbers, or arrays for a stacked report."""
-    return {"n_m": report.n_m, "n_o": report.n_o, "Sigma": report.sigma,
-            "detV": report.det_v, "E_N": report.e_n,
-            "validity_ratio": report.validity_ratio,
-            "validity_ok": report.validity_ok}
+    """The covariance-derived fields of a CSV row; numbers, or arrays for a
+    stacked report."""
+    return dict(zip(_COVARIANCE_COLUMNS, (
+        report.n_m, report.n_o, report.sigma, report.det_v, report.e_n,
+        report.validity_ratio, report.validity_ok)))
 
 
 def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams) -> dict:
     """One pipeline row: steady-state point -> covariance -> observables.
 
     Unstable, marginal, degenerate, ill-conditioned and unphysical points
-    keep their steady-state fields but carry no covariance-derived values;
-    an unphysical covariance is the ``error:PhysicalityError`` status. Any
-    other exception of the covariance chain propagates.
+    keep their steady-state fields, and their covariance-derived fields are
+    NaN (``validity_ok`` None); an unphysical covariance is the
+    ``error:PhysicalityError`` status. Any other exception of the chain propagates.
     """
-    row = {**_point_fields(wp, mp), **dict.fromkeys(_COVARIANCE_COLUMNS)}
+    row = {**_point_fields(wp, mp), **dict.fromkeys(_COVARIANCE_COLUMNS, math.nan),
+           "validity_ok": None}
     if wp.degenerate:
         row["status"] = STATUS_DEGENERATE
         return row
@@ -232,7 +228,7 @@ def _theoretical_rows(mp: ModelParams, axes: tuple) -> tuple:
         wp = (steady.working_point_from_eta(mp, cell["eta"], delta) if "eta" in cell
               else steady.working_point_from_coupling(mp, cell["coupling"], delta))
         rows.append(evaluate_point(wp, mp))
-    return np.arange(len(rows)), {name: [row[name] for row in rows]
+    return np.arange(len(rows)), {name: np.array([row[name] for row in rows])
                                   for name in _ROW_COLUMNS}
 
 
@@ -262,7 +258,8 @@ def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
     roots = steady.branch_roots(t, spec.branch)
     cells = t.model[roots]
     row = {name: v[roots] for name, v in _point_fields(t, mp).items()}
-    row.update((name, np.full(len(roots), None)) for name in _COVARIANCE_COLUMNS)
+    row.update((name, np.full(len(roots), math.nan)) for name in _COVARIANCE_COLUMNS)
+    row["validity_ok"] = np.full(len(roots), None)
     row["status"] = np.full(len(roots), STATUS_OK, dtype=object)
     row["status"][~row["stable"]] = STATUS_UNSTABLE
     row["status"][t.degenerate[roots]] = STATUS_DEGENERATE
@@ -279,10 +276,7 @@ def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
         row["status"][r[marginal]] = STATUS_MARGINAL
         for name, values in _report_fields(report).items():
             row[name][r[ok]] = values[ok]
-    # the lists outweigh the arrays: the root table and the row models are
-    # let go before they are built
-    del t, model
-    return cells, {name: row[name].tolist() for name in _ROW_COLUMNS}
+    return cells, {name: row[name] for name in _ROW_COLUMNS}
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
@@ -298,7 +292,7 @@ def sweep(spec: SweepSpec) -> SweepResult:
             cells, tuple(len(axis.values) for axis in axes))):
         column, _, rate, _ = _AXES[axis.name]
         values = np.array(axis.values, dtype=float)[index]
-        columns[column] = (values / mp.omega_m if rate else values).tolist()
+        columns[column] = values / mp.omega_m if rate else values
     columns.update(rows)
 
     meta = {
@@ -331,9 +325,9 @@ def _hysteresis_rows(trace: steady.HysteresisTrace,
     # a model's roots are contiguous: the up-sweep is on its first root,
     # the down-sweep on its last
     end, index = np.cumsum(t.count)[t.model], np.arange(len(t.model))
-    columns = {**_root_columns(trace.powers, t, mp),
-               "on_up_sweep": (index == end - t.count[t.model]).tolist(),
-               "on_down_sweep": (index == end - 1).tolist()}
+    columns = {"P_in_W": np.array(trace.powers)[t.model], **_point_fields(t, mp),
+               "on_up_sweep": index == end - t.count[t.model],
+               "on_down_sweep": index == end - 1}
     meta = {
         "switch_up_W": "NaN" if trace.switch_up is None else repr(trace.switch_up),
         "switch_down_W": "NaN" if trace.switch_down is None else repr(trace.switch_down),
@@ -345,7 +339,9 @@ def _hysteresis_rows(trace: steady.HysteresisTrace,
 def steady_table(physical: PhysicalParams) -> SweepResult:
     """The ``steady`` command's table: every root at the configured power."""
     mp = derive_model(physical)
-    columns = _root_columns([physical.power], steady.root_table(mp), mp)
+    t = steady.root_table(mp)
+    columns = {"P_in_W": np.full(len(t.model), physical.power, dtype=float),
+               **_point_fields(t, mp)}
     return SweepResult(columns, {"kappa_over_wm": repr(mp.kappa / mp.omega_m),
                                  "nbar": repr(mp.nbar)})
 

@@ -37,7 +37,7 @@ from .errors import PhysicalityError
 if TYPE_CHECKING:  # pragma: no cover
     from .params import ModelParams
 
-# linearization-validity threshold of validity_ok: n_o <= threshold * photons
+# linearization-validity threshold of validity_ok: n_o / photons <= threshold
 VALIDITY_THRESHOLD = 0.01
 
 # round-off allowed below 0 in the symplectic discriminant and nu_min^2
@@ -59,8 +59,8 @@ class EntanglementReport:
     e_n: float             # logarithmic negativity, >= 0
     n_m: float             # phonon occupancy
     n_o: float             # photon occupancy
-    validity_ok: bool      # n_o <= VALIDITY_THRESHOLD * photons
-    validity_ratio: float  # n_o / photons (NaN if photons unknown)
+    validity_ok: bool      # validity_ratio <= VALIDITY_THRESHOLD
+    validity_ratio: float  # n_o / photons (inf at 0 photons, NaN if unknown)
 
 
 @dataclass(frozen=True)
@@ -123,7 +123,7 @@ def log_negativity(V: np.ndarray, photons: float | None = None) -> EntanglementR
             else:
                 ratio = np.divide(n_o, photons, where=physical & (photons > 0),
                                   out=np.where(physical, np.inf, np.nan))
-                ok = n_o <= VALIDITY_THRESHOLD * photons
+                ok = ratio <= VALIDITY_THRESHOLD
             return EntanglementReport(
                 sigma=np.where(physical, sigma, np.nan),
                 det_v=np.where(physical, det_v, np.nan), nu_min=nu_min,
@@ -142,7 +142,7 @@ def log_negativity(V: np.ndarray, photons: float | None = None) -> EntanglementR
         ok = True
     else:
         ratio = n_o / photons if photons > 0 else math.inf
-        ok = n_o <= VALIDITY_THRESHOLD * photons
+        ok = ratio <= VALIDITY_THRESHOLD
     return EntanglementReport(
         sigma=float(sigma), det_v=float(det_v), nu_min=nu_min, e_n=_e_n(nu_min),
         n_m=n_m, n_o=n_o, validity_ok=ok, validity_ratio=ratio,

@@ -325,7 +325,8 @@ def working_point_from_coupling(mp: ModelParams, G: float,
     """Synthetic working point at prescribed (G, Delta), theoretical axes.
 
     The intracavity amplitude is backed out of G = sqrt(2)*G0*|alpha_s|;
-    photons is NaN when G0 = 0.
+    photons is NaN when G0 = 0. A G whose eta, photon number or
+    displacement overflows is a ValidationError.
     """
     if G < 0:
         raise ValidationError("coupling: G must be non-negative")
@@ -337,6 +338,10 @@ def working_point_from_coupling(mp: ModelParams, G: float,
     else:
         photons = float("nan")
         q = float("nan")
+    if any(map(math.isinf, (eta, photons, q))):
+        raise ValidationError(f"coupling {G / mp.omega_m!r} omega_m at "
+                              f"effective_detuning {delta / mp.omega_m!r} omega_m: "
+                              "the steady state overflows")
     A = dynamics.drift_from_rates(delta, G, mp.kappa, mp.omega_m, mp.gamma_m)
     return WorkingPoint(
         q_s=q, photons=photons, delta=delta, G=G, eta=eta,

@@ -267,6 +267,11 @@ OVERFLOW_PROBES = [
             "effective_detuning=1e300"], "effective_detuning"),
     (None, ["sweep", "--axis1", "eta=1", "--axis2", "effective_detuning=1e143"],
      "effective_detuning"),
+    # G^2 (and eta) overflow; from about 1e150 omega_m the photon number too
+    (None, ["sweep", "--axis1", "coupling=1e147", "--axis2",
+            "effective_detuning=1"], "coupling"),
+    (None, ["sweep", "--axis1", "coupling=1e200", "--axis2",
+            "effective_detuning=1"], "coupling"),
     (None, ["sweep", "--axis1", "bare_detuning=1e150:1e151:3"], "delta0"),
     ("bare_detuning = 1e160", ["steady"], "delta0"),
     ("bare_detuning = 1e160", ["figure", "fig2"], "delta0"),

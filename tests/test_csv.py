@@ -24,7 +24,7 @@ def _reference_cell(value) -> str:
     """One cell, one value at a time: the rule the writer must follow."""
     if value is None:
         return "NaN"
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, str):
         return value
@@ -70,11 +70,31 @@ def _columns(draw, n_rows: int) -> list:
     return [rnd.choice(pool) for _ in range(n_rows)]
 
 
+# the array columns sweeps build: float64 (NaN where a row has no number),
+# bool, str, and the tri-state validity_ok
+_ARRAY_CELLS = {
+    "float64": (_CELLS["float"], np.float64),
+    "bool": (_CELLS["bool"], bool),
+    "str": (_CELLS["str"], str),
+    "tri-state": (st.sampled_from((True, False, None)), object),
+}
+
+
+@st.composite
+def _array_columns(draw, n_rows: int) -> np.ndarray:
+    """One 1-D array column of ``n_rows`` values of one dtype."""
+    cells, dtype = _ARRAY_CELLS[draw(st.sampled_from(sorted(_ARRAY_CELLS)))]
+    pool = draw(st.lists(cells, min_size=1, max_size=8))
+    rnd = draw(st.randoms(use_true_random=False))
+    return np.array([rnd.choice(pool) for _ in range(n_rows)], dtype=dtype)
+
+
 @st.composite
 def _results(draw) -> SweepResult:
     n_rows = draw(st.sampled_from((0, 1, 2, 129)))
     names = tuple(f"c{i}" for i in range(draw(st.integers(1, 4))))
-    columns = {name: draw(_columns(n_rows)) for name in names}
+    columns = {name: draw(_columns(n_rows) | _array_columns(n_rows))
+               for name in names}
     return SweepResult(columns, meta={"k": "v"})
 
 
@@ -90,6 +110,14 @@ _BLOCK_FLOATS = (math.nan, None, math.inf, -math.inf, -0.0, 0.1)
 @example(SweepResult(  # one block and one row more
     columns={"x": [_BLOCK_FLOATS[k % 6] for k in range(_BLOCK_ROWS + 1)],
              "ok": [k % 4 == 0 for k in range(_BLOCK_ROWS + 1)]}))
+@example(SweepResult(  # the same as arrays, as sweeps write them
+    columns={"x": np.array([_BLOCK_FLOATS[k % 6] for k in range(_BLOCK_ROWS + 1)],
+                           dtype=float),
+             "ok": np.arange(_BLOCK_ROWS + 1) % 4 == 0,
+             "validity_ok": np.array([(True, None, False)[k % 3]
+                                      for k in range(_BLOCK_ROWS + 1)]),
+             "status": np.array([("ok", "unstable", "error:X")[k % 3]
+                                 for k in range(_BLOCK_ROWS + 1)])}))
 def test_write_csv_equals_per_value_reference(tmp_path_factory, result):
     path = tmp_path_factory.mktemp("csv") / "t.csv"
     try:

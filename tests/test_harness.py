@@ -46,7 +46,7 @@ def _model(kappa=1.4, delta0=1.0, gamma=1e-5, nbar=0.0):
 def _rows(result):
     """The rows of a sweep result, each a dict of column name -> value."""
     return [dict(zip(result.columns, row))
-            for row in zip(*result.columns.values())]
+            for row in zip(*(v.tolist() for v in result.columns.values()))]
 
 
 # --- validation ------------------------------------------------------------------
@@ -129,7 +129,8 @@ def test_evaluate_point_marks_unstable(default_model):
     wp = steady_states(default_model)[1]  # middle branch
     row = evaluate_point(wp, default_model)
     assert row["status"] == "unstable"
-    assert row["E_N"] is None and row["n_m"] is None
+    assert math.isnan(row["E_N"]) and math.isnan(row["n_m"])
+    assert row["validity_ok"] is None
     assert row["stable"] is False
 
 
@@ -150,9 +151,9 @@ def test_evaluate_point_records_an_overflowing_covariance(default_model):
     mp = replace(default_model, nbar=1e300)
     row = evaluate_point(steady_states(mp)[0], mp)
     assert row["status"] == "error:PhysicalityError"
-    for name in ("n_m", "n_o", "Sigma", "detV", "E_N", "validity_ratio",
-                 "validity_ok"):
-        assert row[name] is None, name  # written as NaN
+    for name in ("n_m", "n_o", "Sigma", "detV", "E_N", "validity_ratio"):
+        assert math.isnan(row[name]), name
+    assert row["validity_ok"] is None  # written as NaN
     assert row["stable"] is True and row["branch"] == "lower"
 
 
@@ -317,7 +318,7 @@ def test_coupling_surface_decreases_with_detuning(default_model):
 def _branch_argmax(rows, branch):
     sel = [(r["P_in_W"], r["E_N"]) for r in rows
            if r["branch"] == branch and r["status"] == "ok"
-           and r["E_N"] is not None]
+           and not math.isnan(r["E_N"])]
     powers = [p for p, _ in sel]
     ens = [e for _, e in sel]
     return powers, ens
@@ -418,7 +419,7 @@ def test_experimental_sweep_equals_per_cell_path(default_model, default_physical
     assert set(result.columns) == set(expected)
     assert "ok" in expected["status"]
     for name, values in result.columns.items():
-        assert list(map(repr, values)) == list(map(repr, expected[name])), name
+        assert list(map(repr, values.tolist())) == list(map(repr, expected[name])), name
 
 
 def _assert_sweep_equals_per_cell_path(spec, chunk_rows=None) -> set:
@@ -431,7 +432,7 @@ def _assert_sweep_equals_per_cell_path(spec, chunk_rows=None) -> set:
         result = sweep(spec)
     assert set(result.columns) == set(expected)
     for name, values in result.columns.items():
-        assert list(map(repr, values)) == list(map(repr, expected[name])), name
+        assert list(map(repr, values.tolist())) == list(map(repr, expected[name])), name
     return set(expected["status"])
 
 
@@ -573,7 +574,7 @@ def test_a_singular_system_changes_only_its_own_row(monkeypatch):
     assert len(before) == len(after) and len(changed) == 1
     assert before[changed[0]]["status"] == "ok"
     assert after[changed[0]]["status"] == "conditioning"
-    assert after[changed[0]]["E_N"] is None
+    assert math.isnan(after[changed[0]]["E_N"])
 
 
 def test_an_all_singular_solve_gives_conditioning_rows_on_both_paths(monkeypatch):
@@ -768,3 +769,33 @@ def test_linear_grid_endpoints():
     assert linear_grid(2.0, 9.0, 1) == (2.0,)
     with pytest.raises(ValidationError):
         linear_grid(0.0, 1.0, 0)
+
+
+# columns that are not float64, and the values they hold
+_WORD_COLUMNS = {"stable": {True, False}, "on_up_sweep": {True, False},
+                 "on_down_sweep": {True, False}, "validity_ok": {True, False, None}}
+
+
+def test_every_column_is_a_1d_array(tmp_path, monkeypatch, default_physical):
+    results = {
+        "theoretical": sweep(SweepSpec(
+            base=_model(), axis1=AxisSpec("eta", (1e-4, 0.5, 1.0)),
+            axis2=AxisSpec("effective_detuning", (0.8, 1.6)), branch="all")),
+        "experimental": sweep(_CHUNKED),
+        "steady": harness.steady_table(default_physical),
+    }
+    monkeypatch.setattr(harness, "write_csv",
+                        lambda result, *args: results.setdefault("fig2", result))
+    figure_command("fig2", default_physical, tmp_path, grid=20)
+    for family, result in results.items():
+        for name, values in result.columns.items():
+            where = f"{family}: {name}"
+            assert type(values) is np.ndarray and values.ndim == 1, where
+            if name in ("branch", "status"):
+                assert all(type(v) in (str, np.str_) for v in values), where
+            elif name in _WORD_COLUMNS:
+                assert set(values.tolist()) <= _WORD_COLUMNS[name], where
+                assert name == "validity_ok" or values.dtype == bool, where
+            else:
+                assert values.dtype == np.float64, where
+    assert {"P_in_W", "on_up_sweep"} <= set(results["fig2"].columns)

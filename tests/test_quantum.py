@@ -189,6 +189,16 @@ def test_validity_flag_thresholds():
     assert not bad.validity_ok
 
 
+def test_validity_flag_is_the_ratio_cut_at_zero_photons():
+    # the vacuum has n_o = 0 exactly: 0 <= 0.01 * 0, but the ratio is inf
+    V = 0.5 * np.eye(4)
+    one = log_negativity(V, photons=0.0)
+    stacked = log_negativity(np.array([V]), photons=np.array([0.0]))
+    assert one.validity_ratio == stacked.validity_ratio[0] == math.inf
+    assert one.validity_ok is False and not stacked.validity_ok[0]
+    assert log_negativity(V).validity_ok is True  # no photons: vacuous
+
+
 def random_symplectic(rng):
     """Random 2x2 real symplectic (det = 1) with moderate condition."""
     theta, phi = rng.uniform(0.0, 2.0 * math.pi, size=2)
