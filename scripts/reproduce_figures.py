@@ -6,9 +6,9 @@ Usage:
                                         [--only FIG [FIG ...]]
 
 With no arguments this runs the bundled default parameter set at the
-default grid resolutions: about 4.5 s (4.2-4.7 s over three runs, start
+default grid resolutions: about 1.5 s (1.4-1.5 s over three runs, start
 to exit) on a shared 2-CPU Intel Xeon VM with Python 3.11, most of it in
-fig3a (2.3-2.6 s) and fig5a (1.3-1.6 s). Panels that share a sweep (``SAME_SWEEP_AS``:
+fig5a (0.7-0.9 s) and fig3a (0.3 s). Panels that share a sweep (``SAME_SWEEP_AS``:
 fig3b with fig3a, fig5b with fig5a) run it once; the second file is a
 copy of the first. Pass --grid 41 or so for a quick smoke run, and --only
 with figure ids (fig2 ... fig6) to emit just those panels.

@@ -22,9 +22,10 @@ Routh-Hurwitz determinants of A's characteristic quartic, evaluated in a
 factored form whose terms are all non-negative save the Hopf term at
 Delta < 0 (the expanded form cancels catastrophically when
 gamma_m << kappa << omega_m). It decides every root of the steady-state
-cubic. The spectral verdict ``is_stable_spectral`` decides the synthetic
-points of theoretical axes, and the spectrum itself gives the decay
-rates and the eigenvalue tests of the Lyapunov solve.
+cubic. The spectral verdict (``is_stable_spectral``, the sign of
+``spectral_decay``) decides the synthetic points of theoretical axes,
+and the spectrum itself gives the decay rates and the eigenvalue tests
+of the Lyapunov solve.
 """
 
 from __future__ import annotations
@@ -94,7 +95,10 @@ def diffusion_matrix(mp: "ModelParams") -> np.ndarray:
     gives the stack (N, 4, 4).
     """
     zero, kappa = 0.0 * abs(mp.kappa), mp.kappa
-    thermal = mp.gamma_m * (2.0 * mp.nbar + 1.0)
+    # an overflowing thermal term is inf, as it is for a number, and the
+    # solve's residual is then not finite
+    with np.errstate(over="ignore"):
+        thermal = mp.gamma_m * (2.0 * mp.nbar + 1.0)
     D = np.array([
         [zero, zero, zero, zero],
         [zero, thermal, zero, zero],

@@ -1,17 +1,19 @@
 """Parameter sweeps and figure reproduction; ``csvfile`` writes their CSV.
 
-Two families of sweep axes are supported, each on one path. Experimental
-axes (power, bare_detuning, temperature) derive the whole grid's models
-in one call, solve their steady-state cubics in one pass and evaluate the
-covariance chain of the selected roots on stacks. Theoretical axes
-(effective_detuning, eta, coupling) prescribe the linearization inputs
-directly, inverting the bistability parameter for the coupling when eta
-is swept, and make one ``evaluate_point`` row per cell; the two cannot
-be mixed in one sweep. Per-row failures (instability, marginal decay,
-ill conditioning, a singular Lyapunov system, an unphysical covariance)
-are recorded in the ``status`` column, alike on both paths, and never
-abort a sweep; any other exception of the covariance chain is a defect
-and propagates out of ``sweep`` on both paths.
+Two families of sweep axes are supported; they cannot be mixed in one
+sweep. Experimental axes (power, bare_detuning, temperature) derive the
+whole grid's models in one call and solve their steady-state cubics in
+one pass. Theoretical axes (effective_detuning, eta, coupling) prescribe
+the linearization inputs directly, inverting the bistability parameter
+for the coupling when eta is swept, for the whole grid in one pass
+(``steady.synthetic_points``). Both then run the covariance chain of
+their rows on stacks (``quantum.covariance_rows``), and one function
+maps its masks to the row statuses. Per-row failures (instability,
+marginal decay, ill conditioning, a singular Lyapunov system, an
+unphysical covariance) are recorded in the ``status`` column, as the
+one-row reference ``evaluate_point`` records them, and never abort a
+sweep; any other exception of the covariance chain is a defect and
+propagates out of ``sweep``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -109,8 +110,10 @@ class SweepSpec:
 class SweepResult:
     """A CSV table: ``columns`` maps each column name, in CSV order, to the
     1-D array of its values, one per row: float64 numbers (NaN for none),
-    bool flags, str labels, and True, False or None for ``validity_ok``.
-    ``meta`` holds the ``#`` lines. ``write_csv`` also takes lists."""
+    bool flags, str branch labels, and object arrays of str for
+    ``status`` and of True, False or None for ``validity_ok``, whatever
+    the sweep family. ``meta`` holds the ``#`` lines. ``write_csv`` also
+    takes lists."""
 
     columns: dict[str, np.ndarray]
     meta: dict = field(default_factory=dict)
@@ -169,7 +172,8 @@ def validate_spec(spec: SweepSpec) -> None:
 
 def _point_fields(wp, mp: ModelParams) -> dict:
     """The steady-state fields of a CSV row, rates in units of omega_m; of
-    a WorkingPoint, or as columns over all roots of a ``RootTable``."""
+    a WorkingPoint, or as columns: over all roots of a ``RootTable``, or
+    of a WorkingPoint of arrays over the cells of a theoretical grid."""
     return dict(zip(_POINT_COLUMNS, (
         wp.branch, wp.q_s, wp.photons, wp.delta / mp.omega_m,
         wp.G / mp.omega_m, wp.eta, wp.stable)))
@@ -218,23 +222,71 @@ def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams) -> dict:
     return row
 
 
-def _theoretical_rows(mp: ModelParams, axes: tuple) -> tuple:
-    """One synthetic point of ``mp`` and one ``evaluate_point`` row per cell;
-    returns the cell index of each row and the row columns."""
-    rows = []
-    for values in product(*(axis.values for axis in axes)):
-        cell = dict(zip((axis.name for axis in axes), values))
-        delta = cell.get("effective_detuning", mp.delta0)
-        wp = (steady.working_point_from_eta(mp, cell["eta"], delta) if "eta" in cell
-              else steady.working_point_from_coupling(mp, cell["coupling"], delta))
-        rows.append(evaluate_point(wp, mp))
-    return np.arange(len(rows)), {name: np.array([row[name] for row in rows])
-                                  for name in _ROW_COLUMNS}
-
-
-# live rows per stacked pass of the covariance chain; each matrix is solved
-# on its own, so the chunk size changes no bit of a row
+# rows per stacked pass of the covariance chain; each matrix is solved on
+# its own, so the chunk size changes no bit of a row
 _CHUNK_ROWS = 4096
+
+
+def _chain_columns(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
+                   model: list, stable: np.ndarray | None = None,
+                   degenerate: np.ndarray | None = None) -> dict:
+    """The ``stable``, status and covariance columns of N sweep rows, with
+    the statuses ``evaluate_point`` gives.
+
+    ``delta``, ``G`` and ``photons`` are the rows' working points and
+    ``model`` the arrays of their ModelParams fields. ``stable`` is each
+    row's Hurwitz verdict, or None to take the spectral verdict of the
+    chain (theoretical axes); ``degenerate`` marks double roots. The
+    covariance chain (``quantum.covariance_rows``) runs on the rows that
+    are not known unstable or degenerate, in stacks of at most
+    ``_CHUNK_ROWS`` rows, each with one eigenvalue call.
+    """
+    n = len(delta)
+    spectral = stable is None
+    stable = np.ones(n, dtype=bool) if spectral else stable
+    degenerate = np.zeros(n, dtype=bool) if degenerate is None else degenerate
+    row = {name: np.full(n, math.nan) for name in _COVARIANCE_COLUMNS}
+    row["validity_ok"] = np.full(n, None)
+    row["status"] = np.full(n, STATUS_OK, dtype=object)
+    live = np.flatnonzero(stable & ~degenerate)
+    for r in np.split(live, range(_CHUNK_ROWS, len(live), _CHUNK_ROWS)):
+        verdict, marginal, conditioning, report = quantum.covariance_rows(
+            delta[r], G[r], photons[r], ModelParams(*(field[r] for field in model)))
+        if spectral:
+            stable[r] = verdict
+        ok = ~np.isnan(report.e_n)
+        row["status"][r[~ok]] = f"{STATUS_ERROR}:{PhysicalityError.__name__}"
+        row["status"][r[conditioning]] = STATUS_CONDITIONING
+        row["status"][r[marginal]] = STATUS_MARGINAL
+        for name, values in _report_fields(report).items():
+            row[name][r[ok]] = values[ok]
+    row["status"][~stable] = STATUS_UNSTABLE
+    row["status"][degenerate] = STATUS_DEGENERATE
+    row["stable"] = stable
+    return row
+
+
+def _theoretical_rows(mp: ModelParams, axes: tuple) -> tuple:
+    """All rows of a theoretical sweep in one array pass, one per cell;
+    returns the cell index of each row and the row columns.
+
+    ``axes[k]`` is dimension k of the grid (its C order is the cell
+    order). One ``steady.synthetic_points`` call gives every cell's
+    working point, at the model's bare detuning where no
+    effective_detuning axis is swept, and ``_chain_columns`` the rest,
+    with each stability verdict from the chain's spectra.
+    """
+    cells = dict(zip((axis.name for axis in axes), (v.ravel() for v in np.meshgrid(
+        *(np.array(axis.values, dtype=float) for axis in axes), indexing="ij"))))
+    n = math.prod(len(axis.values) for axis in axes)
+    p = steady.synthetic_points(
+        mp, cells.get("effective_detuning", np.full(n, mp.delta0)),
+        G=cells.get("coupling"), eta=cells.get("eta"))
+    row = _chain_columns(p.delta, p.G, p.photons,
+                         [np.full(n, v, dtype=float) for v in vars(mp).values()])
+    row.update(_point_fields(steady.WorkingPoint(
+        *p, branch=np.full(n, steady.BRANCH_SYNTHETIC), stable=row["stable"]), mp))
+    return np.arange(n), {name: row[name] for name in _ROW_COLUMNS}
 
 
 def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
@@ -244,12 +296,10 @@ def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
     One grid model, ``axes[k]`` on dimension k (its C order is the cell
     order), and its root table give the steady-state fields. A model's
     roots are contiguous and ascending, so the branch pick is an index per
-    model. The covariance chain of the live rows (the selected, stable,
-    non-degenerate roots) runs on stacks of at most ``_CHUNK_ROWS`` rows
-    (``quantum.covariance_rows``), each with one eigenvalue call, so that
-    the sweep takes spectra of its live rows only. The chain's masks give
-    the statuses ``evaluate_point`` gives. It builds no ``WorkingPoint``;
-    an exception of the stacked chain propagates.
+    model. ``_chain_columns`` gives the rest, so that the sweep takes
+    spectra of its live rows (the selected, stable, non-degenerate roots)
+    only. It builds no ``WorkingPoint``; an exception of the stacked chain
+    propagates.
     """
     shape = tuple(len(axis.values) for axis in axes)
     grid = derive_model(replace(spec.base, **dict(zip(
@@ -258,24 +308,11 @@ def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
     roots = steady.branch_roots(t, spec.branch)
     cells = t.model[roots]
     row = {name: v[roots] for name, v in _point_fields(t, mp).items()}
-    row.update((name, np.full(len(roots), math.nan)) for name in _COVARIANCE_COLUMNS)
-    row["validity_ok"] = np.full(len(roots), None)
-    row["status"] = np.full(len(roots), STATUS_OK, dtype=object)
-    row["status"][~row["stable"]] = STATUS_UNSTABLE
-    row["status"][t.degenerate[roots]] = STATUS_DEGENERATE
     # every row's model: the grid's fields, broadcast and picked per row
-    model = [np.broadcast_to(v, shape).ravel()[cells] for v in vars(grid).values()]
-    live = np.flatnonzero(row["stable"] & ~t.degenerate[roots])
-    for r in np.split(live, range(_CHUNK_ROWS, len(live), _CHUNK_ROWS)):
-        marginal, conditioning, report = quantum.covariance_rows(
-            *(x[roots[r]] for x in (t.delta, t.G, t.photons)),
-            ModelParams(*(field[r] for field in model)))
-        ok = ~np.isnan(report.e_n)
-        row["status"][r[~ok]] = f"{STATUS_ERROR}:{PhysicalityError.__name__}"
-        row["status"][r[conditioning]] = STATUS_CONDITIONING
-        row["status"][r[marginal]] = STATUS_MARGINAL
-        for name, values in _report_fields(report).items():
-            row[name][r[ok]] = values[ok]
+    row.update(_chain_columns(
+        t.delta[roots], t.G[roots], t.photons[roots],
+        [np.broadcast_to(v, shape).ravel()[cells] for v in vars(grid).values()],
+        row["stable"], t.degenerate[roots]))
     return cells, {name: row[name] for name in _ROW_COLUMNS}
 
 

@@ -21,6 +21,12 @@ no eigenvalue call.
 ``steady_states`` is the one-model view of that table as ``WorkingPoint``
 objects, so each result is bit-identical whether a model is solved alone
 or as part of a grid.
+
+Theoretical sweep axes prescribe the working point instead:
+``synthetic_points`` builds the points of a whole theoretical grid in one
+pass, without a stability verdict, and ``working_point_from_eta`` and
+``working_point_from_coupling`` are its one-cell views, with the spectral
+verdict on the point's drift matrix.
 """
 
 from __future__ import annotations
@@ -320,54 +326,101 @@ def _square(x, name: str):
             from None
 
 
-def working_point_from_coupling(mp: ModelParams, G: float,
-                                delta: float) -> WorkingPoint:
-    """Synthetic working point at prescribed (G, Delta), theoretical axes.
+def _square_or_inf(x: float) -> float:
+    """x ** 2 of a float, inf where it overflows."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
 
-    The intracavity amplitude is backed out of G = sqrt(2)*G0*|alpha_s|;
-    photons is NaN when G0 = 0. A G whose eta, photon number or
-    displacement overflows is a ValidationError.
+
+# The synthetic working points of theoretical axes, one array per field.
+SyntheticPoints = namedtuple("SyntheticPoints", "q_s photons delta G eta")
+
+
+def synthetic_points(mp: ModelParams, delta, G=None, eta=None) -> SyntheticPoints:
+    """Synthetic working points of theoretical axes, one per cell, at the
+    effective detunings ``delta`` and either the couplings ``G`` or the
+    bistability parameters ``eta``: equal-length 1-D arrays. The model's
+    fields are numbers.
+
+    An eta is inverted for G = sqrt(omega_m*(kappa^2+delta^2)*(1-eta)/delta),
+    which needs delta > 0 and eta <= 1; the squares go through float
+    ``**`` one element at a time, as in ``_pow3``, so that each cell is
+    bit-identical to the one-cell call. The amplitude is backed out of
+    G = sqrt(2)*G0*|alpha_s|: photons and q_s are NaN when G0 = 0. A
+    negative G, or an overflowing square, coupling, eta, photon number or
+    displacement, is a ValidationError; it names the first offending cell
+    in cell order, with the message that cell gives alone.
     """
-    if G < 0:
-        raise ValidationError("coupling: G must be non-negative")
-    eta = bistability_parameter(delta, G, mp.kappa, mp.omega_m)
-    if mp.G0 > 0:
-        amp = G / (math.sqrt(2.0) * mp.G0)
-        photons = amp * amp
-        q = mp.G0 * photons / mp.omega_m
-    else:
-        photons = float("nan")
-        q = float("nan")
-    if any(map(math.isinf, (eta, photons, q))):
-        raise ValidationError(f"coupling {G / mp.omega_m!r} omega_m at "
-                              f"effective_detuning {delta / mp.omega_m!r} omega_m: "
-                              "the steady state overflows")
+    w = mp.omega_m
+    delta = np.asarray(delta, dtype=float)
+    # (cells a check rejects, its message at cell i), in the order one cell
+    # is checked
+    checks = []
+    if eta is not None:
+        target = np.asarray(eta, dtype=float)
+        kappa2 = _square_or_inf(mp.kappa)
+        delta2 = np.array([_square_or_inf(d) for d in delta.tolist()], dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            G = np.sqrt(w * (kappa2 + delta2) * (1.0 - target) / delta)
+        checks = [
+            (delta <= 0, lambda i: "effective_detuning: must be positive for "
+                                   "an eta sweep"),
+            (target > 1, lambda i: f"eta: must be <= 1, got {float(target[i])}"),
+            (np.full(delta.shape, math.isinf(kappa2)),
+             lambda i: "kappa: too large, its square overflows"),
+            (np.isinf(delta2),
+             lambda i: "effective_detuning: too large, its square overflows"),
+            (~np.isfinite(G), lambda i: (
+                f"eta {float(target[i])!r} at effective_detuning "
+                f"{float(delta[i]) / w!r} omega_m: the coupling overflows")),
+        ]
+    G = np.asarray(G, dtype=float)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        eta = bistability_parameter(delta, G, mp.kappa, w)
+        if mp.G0 > 0:
+            amp = G / (math.sqrt(2.0) * mp.G0)
+            photons = amp * amp
+            q = mp.G0 * photons / w
+        else:
+            photons = q = np.full(G.shape, math.nan)
+    checks += [
+        (G < 0, lambda i: "coupling: G must be non-negative"),
+        (np.isinf(eta) | np.isinf(photons) | np.isinf(q), lambda i: (
+            f"coupling {float(G[i]) / w!r} omega_m at effective_detuning "
+            f"{float(delta[i]) / w!r} omega_m: the steady state overflows")),
+    ]
+    # row-major: the first offending cell, then its first failed check
+    failed = np.argwhere(np.column_stack([bad for bad, _ in checks]))
+    if len(failed):
+        i, k = failed[0]
+        raise ValidationError(checks[k][1](i))
+    return SyntheticPoints(q_s=q, photons=photons, delta=delta, G=G, eta=eta)
+
+
+def _synthetic_point(mp: ModelParams, points: SyntheticPoints) -> WorkingPoint:
+    """The ``WorkingPoint`` of a one-cell ``synthetic_points`` result, with
+    the spectral stability verdict on its drift matrix."""
+    q_s, photons, delta, G, eta = (float(a[0]) for a in points)
     A = dynamics.drift_from_rates(delta, G, mp.kappa, mp.omega_m, mp.gamma_m)
     return WorkingPoint(
-        q_s=q, photons=photons, delta=delta, G=G, eta=eta,
+        q_s=q_s, photons=photons, delta=delta, G=G, eta=eta,
         branch=BRANCH_SYNTHETIC, stable=dynamics.is_stable_spectral(A))
+
+
+def working_point_from_coupling(mp: ModelParams, G: float,
+                                delta: float) -> WorkingPoint:
+    """Synthetic working point at prescribed (G, Delta), theoretical axes:
+    the one-cell view of ``synthetic_points``."""
+    return _synthetic_point(mp, synthetic_points(mp, [delta], G=[G]))
 
 
 def working_point_from_eta(mp: ModelParams, eta: float,
                            delta: float) -> WorkingPoint:
-    """Synthetic working point at prescribed (eta, Delta).
-
-    Inverts the bistability parameter for the coupling:
-    G = sqrt(omega_m*(kappa^2+delta^2)*(1-eta)/delta). Requires delta > 0
-    and eta <= 1.
-    """
-    if delta <= 0:
-        raise ValidationError("effective_detuning: must be positive for an eta sweep")
-    if eta > 1:
-        raise ValidationError(f"eta: must be <= 1, got {eta}")
-    G = math.sqrt(mp.omega_m * (_square(mp.kappa, "kappa")
-                                + _square(delta, "effective_detuning"))
-                  * (1.0 - eta) / delta)
-    if not math.isfinite(G):
-        raise ValidationError(
-            f"eta {eta!r} at effective_detuning {delta / mp.omega_m!r} "
-            "omega_m: the coupling overflows")
-    return working_point_from_coupling(mp, G, delta)
+    """Synthetic working point at prescribed (eta, Delta): the one-cell
+    view of ``synthetic_points``. Requires delta > 0 and eta <= 1."""
+    return _synthetic_point(mp, synthetic_points(mp, [delta], eta=[eta]))
 
 
 def _turning_points(kappa, G0, delta0):

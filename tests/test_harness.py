@@ -35,7 +35,11 @@ from optomech_bistab.params import (
     laser_frequency,
 )
 from optomech_bistab.quantum import asymptotic_coeffs, classify_regime
-from optomech_bistab.steady import steady_states, working_point_from_eta
+from optomech_bistab.steady import (
+    steady_states,
+    working_point_from_coupling,
+    working_point_from_eta,
+)
 
 
 def _model(kappa=1.4, delta0=1.0, gamma=1e-5, nbar=0.0):
@@ -362,29 +366,42 @@ def test_power_sweep_entanglement_peaks_at_branch_ends(
     assert abs(powers_f[int(np.argmax(ens_f))] - powers[idx]) <= coarse_cell
 
 
-# experimental axis -> (CSV column, PhysicalParams field, whether a rate)
-_EXPERIMENTAL = {"power": ("P_in_W", "power", False),
+# sweep axis -> (CSV column, PhysicalParams field or None for a theoretical
+# axis, whether a rate)
+_AXIS_COLUMNS = {"power": ("P_in_W", "power", False),
                  "bare_detuning": ("Delta0_over_wm", "delta0", True),
-                 "temperature": ("T_K", "temperature", False)}
+                 "temperature": ("T_K", "temperature", False),
+                 "effective_detuning": ("Delta_target_over_wm", None, True),
+                 "eta": ("eta_target", None, False),
+                 "coupling": ("G_target_over_wm", None, True)}
 
 
 def _per_cell_columns(spec):
-    """The columns of an experimental sweep built one cell at a time: the
-    cell's scalar model, its steady states, the branch pick, one row each."""
+    """The columns of a sweep built one cell at a time. Experimental axes:
+    the cell's scalar model, its steady states, the branch pick, one row
+    each. Theoretical axes: one ``working_point_from_*`` call and one
+    ``evaluate_point`` row per cell, at the base delta0 where no
+    effective_detuning axis is swept."""
     omega_m = spec.base.omega_m
     axes = (spec.axis1,) if spec.axis2 is None else (spec.axis2, spec.axis1)
     columns = {}
     for values in product(*(axis.values for axis in axes)):
-        mp = derive_model(replace(spec.base, **{
-            _EXPERIMENTAL[axis.name][1]: value
-            for axis, value in zip(axes, values)}))
-        points = steady_states(mp)
-        picked = {"lower": points[:1], "upper": points[-1:],
-                  "both": points[:1] + points[1:][-1:], "all": points}
-        for wp in picked[spec.branch]:
+        cell = {axis.name: value for axis, value in zip(axes, values)}
+        if _AXIS_COLUMNS[axes[0].name][1] is None:
+            mp = spec.base
+            delta = cell.get("effective_detuning", mp.delta0)
+            picked = [working_point_from_eta(mp, cell["eta"], delta) if "eta" in cell
+                      else working_point_from_coupling(mp, cell["coupling"], delta)]
+        else:
+            mp = derive_model(replace(spec.base, **{
+                _AXIS_COLUMNS[name][1]: value for name, value in cell.items()}))
+            points = steady_states(mp)
+            picked = {"lower": points[:1], "upper": points[-1:],
+                      "both": points[:1] + points[1:][-1:], "all": points}[spec.branch]
+        for wp in picked:
             row = {}
-            for axis, value in zip(axes, values):
-                column, _, rate = _EXPERIMENTAL[axis.name]
+            for name, value in cell.items():
+                column, _, rate = _AXIS_COLUMNS[name]
                 row[column] = value / omega_m if rate else value
             row.update(evaluate_point(wp, mp))
             for name, value in row.items():
@@ -505,6 +522,78 @@ def test_random_experimental_sweep_equals_per_cell_path(spec, chunk_rows):
     _assert_sweep_equals_per_cell_path(spec, chunk_rows)
 
 
+@st.composite
+def _theoretical_sweeps(draw):
+    """A random theoretical sweep: eta or coupling by effective detuning,
+    or either alone at the base delta0, on a few grid points each. Its
+    negative etas and large couplings are unstable, gamma_m = 1e-9 makes
+    marginal rows, and a bath whose thermal term overflows (nbar = 1e308)
+    or nearly does (1e300) makes conditioning and unphysical rows."""
+    base = _model(kappa=draw(st.sampled_from((1.4, 0.5, 1e-6))),
+                  delta0=draw(st.sampled_from((1.0, 0.3))),
+                  gamma=draw(st.sampled_from((1e-5, 1e-9))),
+                  nbar=draw(st.sampled_from((0.0, 10.0, 1e300, 1e308))))
+
+    def grid(values):
+        return tuple(sorted(draw(st.lists(st.sampled_from(values), min_size=1,
+                                          max_size=4, unique=True))))
+
+    axis1 = AxisSpec("eta", grid((-1.0, -1e-3, 0.0, 1e-9, 1e-7, 1e-3, 0.5, 1.0))) \
+        if draw(st.booleans()) else \
+        AxisSpec("coupling", grid((0.0, 1e-3, 0.1, 0.5, 1.0, 2.0, 5.0)))
+    axis2 = AxisSpec("effective_detuning", grid((0.02, 0.3, 1.0, 2.5))) \
+        if draw(st.booleans()) else None
+    return SweepSpec(base, axis1, axis2, branch="all")
+
+
+@given(spec=_theoretical_sweeps(), chunk_rows=st.sampled_from((1, 2, 3, None)))
+@settings(max_examples=40, deadline=None)
+def test_random_theoretical_sweep_equals_per_cell_path(spec, chunk_rows):
+    _assert_sweep_equals_per_cell_path(spec, chunk_rows)
+
+
+def test_theoretical_sweeps_reach_every_status_of_the_chain():
+    # the statuses the draws of _theoretical_sweeps reach, on fixed sweeps
+    statuses = set()
+    for kappa, gamma, nbar in ((1.4, 1e-9, 0.0), (1e-6, 1e-5, 1e300), (1.4, 1e-5, 1e308)):
+        spec = SweepSpec(_model(kappa=kappa, gamma=gamma, nbar=nbar),
+                         AxisSpec("eta", (-1.0, 1e-9, 0.5)),
+                         AxisSpec("effective_detuning", (0.02, 0.3, 1.0, 2.5)))
+        statuses |= _assert_sweep_equals_per_cell_path(spec, chunk_rows=2)
+    assert statuses == {"ok", "unstable", "marginal", "conditioning",
+                        "error:PhysicalityError"}
+
+
+def test_an_overflowing_thermal_term_is_a_conditioning_row_on_both_paths():
+    # nbar ~ 2e305 at 1e302 K: gamma_m * (2 nbar + 1) overflows to inf
+    spec = SweepSpec(_DEFAULT, AxisSpec("temperature", (1e302,)), branch="lower")
+    assert _assert_sweep_equals_per_cell_path(spec) == {"conditioning"}
+
+
+@pytest.mark.parametrize("axis1,deltas", [
+    # the coupling backed out of eta overflows at the subnormal detuning
+    (AxisSpec("eta", (0.25, 0.5)), (1e-320, 1e300)),
+    # the detuning's square overflows
+    (AxisSpec("eta", (0.25, 0.5)), (1e300, 1e-320)),
+    # the photon number of the second coupling overflows
+    (AxisSpec("coupling", (0.5, 1e200)), (1.0, 2.0)),
+])
+def test_an_overflowing_cell_raises_the_message_of_its_scalar_call(axis1, deltas):
+    mp = _model()
+    spec = SweepSpec(mp, axis1, AxisSpec("effective_detuning", deltas))
+    scalar = working_point_from_eta if axis1.name == "eta" else working_point_from_coupling
+    # the first offending cell in row order, which is axis2-major
+    for delta, value in product(deltas, axis1.values):
+        try:
+            scalar(mp, value, delta)
+        except ValidationError as exc:
+            message = str(exc)
+            break
+    with pytest.raises(ValidationError) as raised:
+        sweep(spec)
+    assert str(raised.value) == message
+
+
 # nine live rows: three chunks (4, 4, 1) at chunk_rows=4
 _CHUNKED = SweepSpec(_DEFAULT, AxisSpec("power", linear_grid(0.0, 0.1, 7)),
                      AxisSpec("bare_detuning", (2.0 * _W, 3.0 * _W)), branch="both")
@@ -538,6 +627,28 @@ def test_an_experimental_sweep_takes_spectra_of_its_live_rows_only(monkeypatch):
                                                        columns["status"]))
     assert "ok" in columns["status"] and live < len(columns["status"]) <= harness._CHUNK_ROWS
     assert calls == [live]
+
+
+def test_a_theoretical_sweep_takes_one_spectrum_per_chunk(monkeypatch):
+    # nine cells: three chunks (4, 4, 1) at chunk_rows=4, each with one
+    # eigenvalue call that gives the verdicts, decay rates and solve tests
+    eigvals, calls = np.linalg.eigvals, []
+
+    def counting_eigvals(A):
+        calls.append(len(A))
+        return eigvals(A)
+
+    def refused(*args):
+        raise AssertionError("called on a theoretical sweep")
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    monkeypatch.setattr(harness, "evaluate_point", refused)
+    monkeypatch.setattr(dynamics, "decay_rate", refused)
+    monkeypatch.setattr(harness, "_CHUNK_ROWS", 4)
+    columns = sweep(SweepSpec(_model(), AxisSpec("eta", (-0.5, 0.25, 0.5)),
+                              AxisSpec("effective_detuning", (0.5, 1.0, 2.0)))).columns
+    assert {"ok", "unstable"} <= set(columns["status"])
+    assert calls == [4, 4, 1]
 
 
 def test_undriven_rows_of_nearly_undamped_mechanics_are_marginal():
@@ -771,9 +882,10 @@ def test_linear_grid_endpoints():
         linear_grid(0.0, 1.0, 0)
 
 
-# columns that are not float64, and the values they hold
-_WORD_COLUMNS = {"stable": {True, False}, "on_up_sweep": {True, False},
-                 "on_down_sweep": {True, False}, "validity_ok": {True, False, None}}
+# columns that are not float64: their dtype, whatever the sweep family
+_WORD_COLUMNS = {"stable": np.dtype(bool), "on_up_sweep": np.dtype(bool),
+                 "on_down_sweep": np.dtype(bool), "status": np.dtype(object),
+                 "validity_ok": np.dtype(object)}
 
 
 def test_every_column_is_a_1d_array(tmp_path, monkeypatch, default_physical):
@@ -781,21 +893,26 @@ def test_every_column_is_a_1d_array(tmp_path, monkeypatch, default_physical):
         "theoretical": sweep(SweepSpec(
             base=_model(), axis1=AxisSpec("eta", (1e-4, 0.5, 1.0)),
             axis2=AxisSpec("effective_detuning", (0.8, 1.6)), branch="all")),
+        "theoretical, every row ok": sweep(SweepSpec(
+            base=_model(), axis1=AxisSpec("eta", (0.25, 0.5)),
+            axis2=AxisSpec("effective_detuning", (0.8, 1.6)))),
         "experimental": sweep(_CHUNKED),
         "steady": harness.steady_table(default_physical),
     }
     monkeypatch.setattr(harness, "write_csv",
                         lambda result, *args: results.setdefault("fig2", result))
     figure_command("fig2", default_physical, tmp_path, grid=20)
+    assert set(results["theoretical, every row ok"].columns["status"]) == {"ok"}
     for family, result in results.items():
         for name, values in result.columns.items():
             where = f"{family}: {name}"
             assert type(values) is np.ndarray and values.ndim == 1, where
-            if name in ("branch", "status"):
-                assert all(type(v) in (str, np.str_) for v in values), where
-            elif name in _WORD_COLUMNS:
-                assert set(values.tolist()) <= _WORD_COLUMNS[name], where
-                assert name == "validity_ok" or values.dtype == bool, where
+            if name == "branch":
+                assert values.dtype.kind == "U", where
             else:
-                assert values.dtype == np.float64, where
+                assert values.dtype == _WORD_COLUMNS.get(name, np.float64), where
+            if name == "status":
+                assert all(type(v) is str for v in values), where
+            if name == "validity_ok":
+                assert set(values.tolist()) <= {True, False, None}, where
     assert {"P_in_W", "on_up_sweep"} <= set(results["fig2"].columns)

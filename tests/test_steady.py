@@ -25,6 +25,7 @@ from optomech_bistab.steady import (
     hysteresis,
     root_table,
     steady_states,
+    synthetic_points,
     working_point_from_coupling,
     working_point_from_eta,
 )
@@ -187,6 +188,37 @@ def test_synthetic_working_points():
         working_point_from_eta(mp, 1.5, 1.0)
     with pytest.raises(ValidationError):
         working_point_from_eta(mp, 0.5, -1.0)
+
+
+def test_synthetic_points_equal_their_one_cell_views():
+    mp = derive_model(default_params())
+    w = mp.omega_m
+    etas, deltas = np.meshgrid(np.linspace(-0.5, 1.0, 31),
+                               np.linspace(0.02 * w, 3.0 * w, 29))
+    for by, values in (("eta", etas.ravel()), ("G", np.linspace(0.0, 2.0 * w, 29 * 31))):
+        points = synthetic_points(mp, deltas.ravel(), **{by: values})
+        one = working_point_from_eta if by == "eta" else working_point_from_coupling
+        for k, (value, delta) in enumerate(zip(values.tolist(), deltas.ravel().tolist())):
+            wp = one(mp, value, delta)
+            assert [repr(getattr(wp, name)) for name in points._fields] == \
+                [repr(a[k].item()) for a in points], (by, k)
+            if by == "eta" and value <= 1.0:
+                # the inversion on Python floats, one cell at a time
+                G = math.sqrt(w * (mp.kappa ** 2 + delta ** 2) * (1.0 - value) / delta)
+                assert wp.G == G and wp.eta == bistability_parameter(delta, G, mp.kappa, w)
+
+
+@pytest.mark.parametrize("etas", [(-1e300, 2.0), (2.0, -1e300)])
+def test_synthetic_points_name_their_first_offending_cell(etas):
+    # eta = -1e300 backs out a coupling whose photon number overflows;
+    # eta = 2 fails an earlier check of its cell
+    mp = ModelParams(kappa=1.4, G0=1e-5, E=0.0, delta0=1.0, omega_m=1.0,
+                     gamma_m=1e-5, nbar=0.0)
+    with pytest.raises(ValidationError) as raised:
+        synthetic_points(mp, [1.0, 1.0], eta=list(etas))
+    with pytest.raises(ValidationError) as alone:
+        working_point_from_eta(mp, etas[0], 1.0)
+    assert str(raised.value) == str(alone.value)
 
 
 # --- hysteresis --------------------------------------------------------------
