@@ -12,7 +12,6 @@ from .dynamics import (
     drift_from_rates,
     integrate_lyapunov,
     is_stable_rh,
-    is_stable_spectral,
     solve_lyapunov,
     split_blocks,
     symplectic_eigenvalues,
@@ -86,7 +85,6 @@ __all__ = [
     "hysteresis",
     "integrate_lyapunov",
     "is_stable_rh",
-    "is_stable_spectral",
     "load_config",
     "log_negativity",
     "max_entanglement",

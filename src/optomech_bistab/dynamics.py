@@ -16,16 +16,15 @@ linear in A, so their 10x10 system is one constant (100, 16) map applied
 to the entries of A. The adaptive integrator below evolves the transient
 form and serves as an independent oracle for the direct solver.
 
-Stability has two verdicts that agree away from round-off. The Hurwitz
-verdict ``is_stable_rh`` needs no eigenvalue: it reads the signs of the
-Routh-Hurwitz determinants of A's characteristic quartic, evaluated in a
-factored form whose terms are all non-negative save the Hopf term at
-Delta < 0 (the expanded form cancels catastrophically when
-gamma_m << kappa << omega_m). It decides every root of the steady-state
-cubic. The spectral verdict (``is_stable_spectral``, the sign of
-``spectral_decay``) decides the synthetic points of theoretical axes,
-and the spectrum itself gives the decay rates and the eigenvalue tests
-of the Lyapunov solve.
+Stability has one verdict, ``is_stable_rh``, and it needs no eigenvalue:
+it reads the signs of the Routh-Hurwitz determinants of A's
+characteristic quartic, evaluated in a factored form whose terms are all
+non-negative save the Hopf term at Delta < 0 (the expanded form cancels
+catastrophically when gamma_m << kappa << omega_m). It decides every
+working point, the roots of the steady-state cubic and the synthetic
+points of theoretical axes alike. The spectrum gives only the decay
+rates (``spectral_decay``) and the eigenvalue tests of the Lyapunov
+solve.
 """
 
 from __future__ import annotations
@@ -143,15 +142,6 @@ def spectral_decay(eig: np.ndarray) -> np.ndarray:
     a stack (N, 4). A matrix is stable iff the rate of its spectrum is
     positive, that is iff every eigenvalue has negative real part."""
     return -eig.real.max(-1)
-
-
-def is_stable_spectral(A: np.ndarray) -> bool | list[bool]:
-    """True iff every eigenvalue of A has strictly negative real part.
-
-    A stack (N, 4, 4) gives the list of N verdicts from one eigenvalue
-    call; each equals the verdict on that matrix alone.
-    """
-    return (spectral_decay(np.linalg.eigvals(A)) > 0.0).tolist()
 
 
 def decay_rate(A: np.ndarray) -> float | np.ndarray:

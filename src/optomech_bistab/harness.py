@@ -6,9 +6,11 @@ whole grid's models in one call and solve their steady-state cubics in
 one pass. Theoretical axes (effective_detuning, eta, coupling) prescribe
 the linearization inputs directly, inverting the bistability parameter
 for the coupling when eta is swept, for the whole grid in one pass
-(``steady.synthetic_points``). Both then run the covariance chain of
-their rows on stacks (``quantum.covariance_rows``), and one function
-maps its masks to the row statuses. Per-row failures (instability,
+(``steady.synthetic_points``). Both build a root table, with each root's
+Hurwitz stability verdict, and differ only in how: one tail maps the
+table's picked roots to row columns, running the covariance chain of the
+stable rows on stacks (``quantum.covariance_rows``) and mapping its
+masks to the row statuses. Per-row failures (instability,
 marginal decay, ill conditioning, a singular Lyapunov system, an
 unphysical covariance) are recorded in the ``status`` column, as the
 one-row reference ``evaluate_point`` records them, and never abort a
@@ -168,12 +170,16 @@ def validate_spec(spec: SweepSpec) -> None:
             "to fix the working point")
     if "eta" in theoretical and "coupling" in theoretical:
         raise ValidationError("axes: eta and coupling axes are redundant")
+    if "eta" in theoretical and "effective_detuning" not in theoretical \
+            and spec.base.delta0 <= 0:
+        # the eta sweep then runs at the bare detuning
+        raise ValidationError("bare_detuning: must be positive for an eta "
+                              "sweep without an effective_detuning axis")
 
 
 def _point_fields(wp, mp: ModelParams) -> dict:
     """The steady-state fields of a CSV row, rates in units of omega_m; of
-    a WorkingPoint, or as columns: over all roots of a ``RootTable``, or
-    of a WorkingPoint of arrays over the cells of a theoretical grid."""
+    a WorkingPoint, or as columns over all roots of a ``RootTable``."""
     return dict(zip(_POINT_COLUMNS, (
         wp.branch, wp.q_s, wp.photons, wp.delta / mp.omega_m,
         wp.G / mp.omega_m, wp.eta, wp.stable)))
@@ -228,32 +234,25 @@ _CHUNK_ROWS = 4096
 
 
 def _chain_columns(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
-                   model: list, stable: np.ndarray | None = None,
-                   degenerate: np.ndarray | None = None) -> dict:
-    """The ``stable``, status and covariance columns of N sweep rows, with
-    the statuses ``evaluate_point`` gives.
+                   model: list, stable: np.ndarray, degenerate: np.ndarray) -> dict:
+    """The status and covariance columns of N sweep rows, with the
+    statuses ``evaluate_point`` gives.
 
-    ``delta``, ``G`` and ``photons`` are the rows' working points and
-    ``model`` the arrays of their ModelParams fields. ``stable`` is each
-    row's Hurwitz verdict, or None to take the spectral verdict of the
-    chain (theoretical axes); ``degenerate`` marks double roots. The
-    covariance chain (``quantum.covariance_rows``) runs on the rows that
-    are not known unstable or degenerate, in stacks of at most
-    ``_CHUNK_ROWS`` rows, each with one eigenvalue call.
+    ``delta``, ``G`` and ``photons`` are the rows' working points,
+    ``model`` the arrays of their ModelParams fields, ``stable`` their
+    Hurwitz verdicts and ``degenerate`` marks double roots. The covariance
+    chain (``quantum.covariance_rows``) runs on the stable rows that are
+    not degenerate, in stacks of at most ``_CHUNK_ROWS`` rows, each with
+    one eigenvalue call.
     """
     n = len(delta)
-    spectral = stable is None
-    stable = np.ones(n, dtype=bool) if spectral else stable
-    degenerate = np.zeros(n, dtype=bool) if degenerate is None else degenerate
     row = {name: np.full(n, math.nan) for name in _COVARIANCE_COLUMNS}
     row["validity_ok"] = np.full(n, None)
     row["status"] = np.full(n, STATUS_OK, dtype=object)
     live = np.flatnonzero(stable & ~degenerate)
     for r in np.split(live, range(_CHUNK_ROWS, len(live), _CHUNK_ROWS)):
-        verdict, marginal, conditioning, report = quantum.covariance_rows(
+        marginal, conditioning, report = quantum.covariance_rows(
             delta[r], G[r], photons[r], ModelParams(*(field[r] for field in model)))
-        if spectral:
-            stable[r] = verdict
         ok = ~np.isnan(report.e_n)
         row["status"][r[~ok]] = f"{STATUS_ERROR}:{PhysicalityError.__name__}"
         row["status"][r[conditioning]] = STATUS_CONDITIONING
@@ -262,75 +261,70 @@ def _chain_columns(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
             row[name][r[ok]] = values[ok]
     row["status"][~stable] = STATUS_UNSTABLE
     row["status"][degenerate] = STATUS_DEGENERATE
-    row["stable"] = stable
     return row
 
 
-def _theoretical_rows(mp: ModelParams, axes: tuple) -> tuple:
-    """All rows of a theoretical sweep in one array pass, one per cell;
-    returns the cell index of each row and the row columns.
+def _theoretical_table(mp: ModelParams, axes: tuple) -> tuple:
+    """The root table of a theoretical sweep, one synthetic root per cell,
+    its picked roots (all of them) and the per-row model arrays.
 
     ``axes[k]`` is dimension k of the grid (its C order is the cell
     order). One ``steady.synthetic_points`` call gives every cell's
     working point, at the model's bare detuning where no
-    effective_detuning axis is swept, and ``_chain_columns`` the rest,
-    with each stability verdict from the chain's spectra.
+    effective_detuning axis is swept.
     """
     cells = dict(zip((axis.name for axis in axes), (v.ravel() for v in np.meshgrid(
         *(np.array(axis.values, dtype=float) for axis in axes), indexing="ij"))))
     n = math.prod(len(axis.values) for axis in axes)
-    p = steady.synthetic_points(
+    t = steady.synthetic_points(
         mp, cells.get("effective_detuning", np.full(n, mp.delta0)),
         G=cells.get("coupling"), eta=cells.get("eta"))
-    row = _chain_columns(p.delta, p.G, p.photons,
-                         [np.full(n, v, dtype=float) for v in vars(mp).values()])
-    row.update(_point_fields(steady.WorkingPoint(
-        *p, branch=np.full(n, steady.BRANCH_SYNTHETIC), stable=row["stable"]), mp))
-    return np.arange(n), {name: row[name] for name in _ROW_COLUMNS}
+    return t, t.model, [np.full(n, v, dtype=float) for v in vars(mp).values()]
 
 
-def _experimental_rows(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
-    """All rows of an experimental sweep in one array pass; returns the cell
-    index of each row and the row columns.
+def _experimental_table(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
+    """The root table of an experimental sweep, its picked roots and the
+    per-row model arrays.
 
     One grid model, ``axes[k]`` on dimension k (its C order is the cell
     order), and its root table give the steady-state fields. A model's
     roots are contiguous and ascending, so the branch pick is an index per
-    model. ``_chain_columns`` gives the rest, so that the sweep takes
-    spectra of its live rows (the selected, stable, non-degenerate roots)
-    only. It builds no ``WorkingPoint``; an exception of the stacked chain
-    propagates.
+    model, and each row's model is the grid's fields, broadcast and picked.
     """
     shape = tuple(len(axis.values) for axis in axes)
     grid = derive_model(replace(spec.base, **dict(zip(
         (_AXES[a.name].field for a in axes), np.ix_(*(a.values for a in axes))))))
     t = steady.root_table(grid)
     roots = steady.branch_roots(t, spec.branch)
-    cells = t.model[roots]
-    row = {name: v[roots] for name, v in _point_fields(t, mp).items()}
-    # every row's model: the grid's fields, broadcast and picked per row
-    row.update(_chain_columns(
-        t.delta[roots], t.G[roots], t.photons[roots],
-        [np.broadcast_to(v, shape).ravel()[cells] for v in vars(grid).values()],
-        row["stable"], t.degenerate[roots]))
-    return cells, {name: row[name] for name in _ROW_COLUMNS}
+    return t, roots, [np.broadcast_to(v, shape).ravel()[t.model[roots]]
+                      for v in vars(grid).values()]
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
     """Run the pipeline over the grid; row order is axis2-major, then
-    axis1, then branch. Deterministic for a given spec."""
+    axis1, then branch. Deterministic for a given spec.
+
+    Both families give a root table, its picked roots and their models;
+    ``_chain_columns`` runs the covariance chain of the picked roots, so
+    that the sweep takes spectra of its live rows (the stable,
+    non-degenerate ones) only. It builds no ``WorkingPoint``; an exception
+    of the stacked chain propagates.
+    """
     mp = spec.base if isinstance(spec.base, ModelParams) else derive_model(spec.base)
     validate_spec(spec)
     axes = (spec.axis1,) if spec.axis2 is None else (spec.axis2, spec.axis1)
-    cells, rows = (_theoretical_rows(mp, axes) if axes[0].name in THEORETICAL_AXES
-                   else _experimental_rows(spec, mp, axes))
+    t, roots, model = (_theoretical_table(mp, axes) if axes[0].name in THEORETICAL_AXES
+                       else _experimental_table(spec, mp, axes))
     columns = {}
     for axis, index in zip(axes, np.unravel_index(
-            cells, tuple(len(axis.values) for axis in axes))):
+            t.model[roots], tuple(len(axis.values) for axis in axes))):
         column, _, rate, _ = _AXES[axis.name]
         values = np.array(axis.values, dtype=float)[index]
         columns[column] = values / mp.omega_m if rate else values
-    columns.update(rows)
+    row = {name: v[roots] for name, v in _point_fields(t, mp).items()}
+    row.update(_chain_columns(t.delta[roots], t.G[roots], t.photons[roots], model,
+                              row["stable"], t.degenerate[roots]))
+    columns.update((name, row[name]) for name in _ROW_COLUMNS)
 
     meta = {
         "axis1": f"{spec.axis1.name}[{len(spec.axis1.values)}]",

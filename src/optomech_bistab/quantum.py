@@ -150,32 +150,29 @@ def log_negativity(V: np.ndarray, photons: float | None = None) -> EntanglementR
 
 
 def covariance_rows(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
-                    mp: "ModelParams") -> tuple[np.ndarray, np.ndarray, np.ndarray,
+                    mp: "ModelParams") -> tuple[np.ndarray, np.ndarray,
                                                 EntanglementReport]:
     """The covariance chain of ``harness.evaluate_point`` on a stack of
-    working points: drift, stability, decay rate, Lyapunov solve, report.
+    working points the Hurwitz verdict calls stable: drift, decay rate,
+    Lyapunov solve, report.
 
     ``delta``, ``G`` and ``photons`` are 1-D arrays of N rows, and so are
     the fields of the ModelParams ``mp``. One stacked eigenvalue call
-    gives the spectra of the rows' drift matrices, from which the
-    stability verdicts, the decay rates and the Lyapunov solve's
-    eigenvalue tests are read. Returns the spectral stability verdict of
-    each row (its decay rate is positive, as ``dynamics.is_stable_spectral``
-    decides), the mask of marginal rows (decay rate below
-    MARGINAL_DECAY_FRACTION * omega_m, every unstable row among them), the
+    gives the spectra of the rows' drift matrices, from which the decay
+    rates and the Lyapunov solve's eigenvalue tests are read. Returns the
+    mask of marginal rows (decay rate below MARGINAL_DECAY_FRACTION *
+    omega_m, every row whose spectrum does not decay among them), the
     mask of rows whose Lyapunov solve raises alone, and the stacked
     report, which is NaN on both masks and where the covariance is not
     physical. Every row is bit-identical to the chain on that row alone.
     """
     A = drift_from_rates(delta, G, mp.kappa, mp.omega_m, mp.gamma_m)
     eig = np.linalg.eigvals(A)
-    decay = spectral_decay(eig)
-    marginal = decay < MARGINAL_DECAY_FRACTION * mp.omega_m
+    marginal = spectral_decay(eig) < MARGINAL_DECAY_FRACTION * mp.omega_m
     V = np.full(A.shape, np.nan)
     V[~marginal] = solve_lyapunov(A[~marginal], diffusion_matrix(mp)[~marginal],
                                   eig[~marginal])
-    return (decay > 0.0, marginal, ~marginal & np.isnan(V[:, 0, 0]),
-            log_negativity(V, photons))
+    return marginal, ~marginal & np.isnan(V[:, 0, 0]), log_negativity(V, photons)
 
 
 def approx_phonons(delta: float, kappa: float, omega_m: float,

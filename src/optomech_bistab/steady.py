@@ -23,10 +23,10 @@ objects, so each result is bit-identical whether a model is solved alone
 or as part of a grid.
 
 Theoretical sweep axes prescribe the working point instead:
-``synthetic_points`` builds the points of a whole theoretical grid in one
-pass, without a stability verdict, and ``working_point_from_eta`` and
-``working_point_from_coupling`` are its one-cell views, with the spectral
-verdict on the point's drift matrix.
+``synthetic_points`` builds the root table of a whole theoretical grid in
+one pass, one synthetic root per cell with the same Hurwitz verdict, and
+``working_point_from_eta`` and ``working_point_from_coupling`` are its
+one-cell views. The steady layer makes no eigenvalue call.
 """
 
 from __future__ import annotations
@@ -334,15 +334,12 @@ def _square_or_inf(x: float) -> float:
         return math.inf
 
 
-# The synthetic working points of theoretical axes, one array per field.
-SyntheticPoints = namedtuple("SyntheticPoints", "q_s photons delta G eta")
-
-
-def synthetic_points(mp: ModelParams, delta, G=None, eta=None) -> SyntheticPoints:
-    """Synthetic working points of theoretical axes, one per cell, at the
-    effective detunings ``delta`` and either the couplings ``G`` or the
-    bistability parameters ``eta``: equal-length 1-D arrays. The model's
-    fields are numbers.
+def synthetic_points(mp: ModelParams, delta, G=None, eta=None) -> RootTable:
+    """The root table of theoretical axes, one synthetic root per cell
+    (model index = cell index), at the effective detunings ``delta`` and
+    either the couplings ``G`` or the bistability parameters ``eta``:
+    equal-length 1-D arrays. The model's fields are numbers. Each root's
+    verdict is ``dynamics.is_stable_rh``, as on ``root_table``.
 
     An eta is inverted for G = sqrt(omega_m*(kappa^2+delta^2)*(1-eta)/delta),
     which needs delta > 0 and eta <= 1; the squares go through float
@@ -396,31 +393,26 @@ def synthetic_points(mp: ModelParams, delta, G=None, eta=None) -> SyntheticPoint
     if len(failed):
         i, k = failed[0]
         raise ValidationError(checks[k][1](i))
-    return SyntheticPoints(q_s=q, photons=photons, delta=delta, G=G, eta=eta)
-
-
-def _synthetic_point(mp: ModelParams, points: SyntheticPoints) -> WorkingPoint:
-    """The ``WorkingPoint`` of a one-cell ``synthetic_points`` result, with
-    the spectral stability verdict on its drift matrix."""
-    q_s, photons, delta, G, eta = (float(a[0]) for a in points)
-    A = dynamics.drift_from_rates(delta, G, mp.kappa, mp.omega_m, mp.gamma_m)
-    return WorkingPoint(
-        q_s=q_s, photons=photons, delta=delta, G=G, eta=eta,
-        branch=BRANCH_SYNTHETIC, stable=dynamics.is_stable_spectral(A))
+    n = len(delta)
+    return RootTable(model=np.arange(n), count=np.ones(n, dtype=int), q_s=q,
+                     photons=photons, delta=delta, G=G, eta=eta,
+                     branch=np.full(n, BRANCH_SYNTHETIC),
+                     stable=dynamics.is_stable_rh(delta, G, mp.kappa, w, mp.gamma_m),
+                     degenerate=np.zeros(n, dtype=bool))
 
 
 def working_point_from_coupling(mp: ModelParams, G: float,
                                 delta: float) -> WorkingPoint:
     """Synthetic working point at prescribed (G, Delta), theoretical axes:
     the one-cell view of ``synthetic_points``."""
-    return _synthetic_point(mp, synthetic_points(mp, [delta], G=[G]))
+    return _working_points(synthetic_points(mp, [delta], G=[G]))[0][0]
 
 
 def working_point_from_eta(mp: ModelParams, eta: float,
                            delta: float) -> WorkingPoint:
     """Synthetic working point at prescribed (eta, Delta): the one-cell
     view of ``synthetic_points``. Requires delta > 0 and eta <= 1."""
-    return _synthetic_point(mp, synthetic_points(mp, [delta], eta=[eta]))
+    return _working_points(synthetic_points(mp, [delta], eta=[eta]))[0][0]
 
 
 def _turning_points(kappa, G0, delta0):

@@ -100,6 +100,21 @@ def test_sweep_reports_rate_values_in_omega_m(tmp_path, config_file, capsys):
         in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bare_detuning", ["0", "-2.62e7"])
+def test_eta_sweep_at_a_non_positive_bare_detuning_names_it(tmp_path, capsys,
+                                                             bare_detuning):
+    # without an effective_detuning axis the eta sweep runs at the bare one
+    config = tmp_path / "params.cfg"
+    config.write_text(CONFIG.replace("bare_detuning = 2.62e7",
+                                     f"bare_detuning = {bare_detuning}"))
+    code = main(["sweep", "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--axis1", "eta=0.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: bare_detuning: must be positive for an eta sweep " \
+                  "without an effective_detuning axis\n"
+
+
 @pytest.mark.parametrize("command", [
     ["figure", "fig2"],
     ["figure", "fig5a"],

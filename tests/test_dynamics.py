@@ -14,7 +14,6 @@ from optomech_bistab.dynamics import (
     drift_from_rates,
     integrate_lyapunov,
     is_stable_rh,
-    is_stable_spectral,
     solve_lyapunov,
     spectral_decay,
     split_blocks,
@@ -89,8 +88,8 @@ def test_rh_trivial_cases():
     assert not is_stable_rh(-1.0, 0.5, 0.1, 1.0, 1e-4)   # Hopf-unstable
     assert is_stable_rh(-1.0, 1e-3, 0.1, 1.0, 1e-4)      # small G
     for delta, G in ((-1.0, 0.5), (-1.0, 1e-3), (0.0, 0.5)):
-        assert is_stable_rh(delta, G, 0.1, 1.0, 1e-4) == is_stable_spectral(
-            drift_from_rates(delta, G, 0.1, 1.0, 1e-4))
+        assert is_stable_rh(delta, G, 0.1, 1.0, 1e-4) == (decay_rate(
+            drift_from_rates(delta, G, 0.1, 1.0, 1e-4)) > 0.0)
     # gamma_m = 0 or kappa = 0: the coupling damps the undamped mode
     # through the other one, and an uncoupled undamped mode is marginal
     assert is_stable_rh(1.0, 0.5, 1.4, 1.0, 0.0)
@@ -142,7 +141,7 @@ def test_rh_agrees_with_spectrum(rng):
             (kappa ** 2 + delta ** 2) / delta)
         rh = is_stable_rh(delta, g, kappa, 1.0, gamma)
         A = drift_from_rates(delta, g, kappa, 1.0, gamma)
-        assert rh == is_stable_spectral(A)
+        assert rh == (decay_rate(A) > 0.0)
 
 
 @given(delta=st.floats(-3.0, 3.0), coupling=st.floats(0.0, 2.0),
@@ -309,7 +308,7 @@ def test_lyapunov_rejects_a_singular_system(monkeypatch):
 
 def test_lyapunov_rejects_unstable():
     A = drift_from_rates(1.0, 5.0, 0.2, 1.0, 1e-5)  # far beyond the boundary
-    assert not is_stable_spectral(A)
+    assert not decay_rate(A) > 0.0
     with pytest.raises(UnstableSystemError, match="Re"):
         solve_lyapunov(A, np.diag([0.0, 1.0, 1.0, 1.0]))
 

@@ -630,8 +630,9 @@ def test_an_experimental_sweep_takes_spectra_of_its_live_rows_only(monkeypatch):
 
 
 def test_a_theoretical_sweep_takes_one_spectrum_per_chunk(monkeypatch):
-    # nine cells: three chunks (4, 4, 1) at chunk_rows=4, each with one
-    # eigenvalue call that gives the verdicts, decay rates and solve tests
+    # nine cells, six of them Hurwitz-stable: two chunks (4, 2) of live
+    # rows at chunk_rows=4, each with one eigenvalue call that gives the
+    # decay rates and solve tests
     eigvals, calls = np.linalg.eigvals, []
 
     def counting_eigvals(A):
@@ -648,7 +649,8 @@ def test_a_theoretical_sweep_takes_one_spectrum_per_chunk(monkeypatch):
     columns = sweep(SweepSpec(_model(), AxisSpec("eta", (-0.5, 0.25, 0.5)),
                               AxisSpec("effective_detuning", (0.5, 1.0, 2.0)))).columns
     assert {"ok", "unstable"} <= set(columns["status"])
-    assert calls == [4, 4, 1]
+    assert columns["stable"].sum() == 6
+    assert calls == [4, 2]
 
 
 def test_undriven_rows_of_nearly_undamped_mechanics_are_marginal():
@@ -658,6 +660,20 @@ def test_undriven_rows_of_nearly_undamped_mechanics_are_marginal():
     undriven = [s for p, s in zip(columns["P_in_W"], columns["status"]) if p == 0.0]
     assert undriven == ["marginal"] * 4
     assert all(s for p, s in zip(columns["P_in_W"], columns["stable"]) if p == 0.0)
+
+
+def test_uncoupled_rows_of_nearly_undamped_mechanics_read_alike_on_both_families():
+    # at G = 0 the mechanics alone decays at gamma_m / 2 = 5e-10 rad/s,
+    # below the round-off of the eigenvalues: the Hurwitz verdict calls
+    # every row stable, and the decay test marginal, on either family
+    deltas = linear_grid(0.02 * _W, 3.0 * _W, 60)
+    theoretical = sweep(SweepSpec(_NARROW, AxisSpec("coupling", (0.0,)),
+                                  AxisSpec("effective_detuning", deltas))).columns
+    undriven = sweep(SweepSpec(_NARROW, AxisSpec("power", (0.0,)),
+                               AxisSpec("bare_detuning", deltas), branch="all")).columns
+    for columns in (theoretical, undriven):
+        assert columns["status"].tolist() == ["marginal"] * 60
+        assert columns["stable"].tolist() == [True] * 60
 
 
 def test_a_singular_system_changes_only_its_own_row(monkeypatch):

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from optomech_bistab.params import (
     laser_frequency,
 )
 from optomech_bistab.steady import (
+    WorkingPoint,
     _cubic_roots,
     _working_points,
     bistability_parameter,
@@ -197,15 +198,38 @@ def test_synthetic_points_equal_their_one_cell_views():
                                np.linspace(0.02 * w, 3.0 * w, 29))
     for by, values in (("eta", etas.ravel()), ("G", np.linspace(0.0, 2.0 * w, 29 * 31))):
         points = synthetic_points(mp, deltas.ravel(), **{by: values})
+        assert points.model.tolist() == list(range(len(values)))
+        assert points.count.tolist() == [1] * len(values)
         one = working_point_from_eta if by == "eta" else working_point_from_coupling
         for k, (value, delta) in enumerate(zip(values.tolist(), deltas.ravel().tolist())):
             wp = one(mp, value, delta)
-            assert [repr(getattr(wp, name)) for name in points._fields] == \
-                [repr(a[k].item()) for a in points], (by, k)
+            assert [repr(getattr(wp, f.name)) for f in fields(WorkingPoint)] == \
+                [repr(getattr(points, f.name)[k].item()) for f in fields(WorkingPoint)], \
+                (by, k)
             if by == "eta" and value <= 1.0:
                 # the inversion on Python floats, one cell at a time
                 G = math.sqrt(w * (mp.kappa ** 2 + delta ** 2) * (1.0 - value) / delta)
                 assert wp.G == G and wp.eta == bistability_parameter(delta, G, mp.kappa, w)
+
+
+def test_synthetic_points_take_the_hurwitz_verdict_without_a_spectrum(monkeypatch):
+    def refused(A):
+        raise AssertionError("eigvals called by the steady layer")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    # a red-detuned point, one past the end of its branch (eta < 0) and a
+    # blue-detuned one (Hopf-unstable)
+    mp = ModelParams(kappa=1.4, G0=1e-5, E=0.0, delta0=1.0, omega_m=1.0,
+                     gamma_m=1e-5, nbar=0.0)
+    points = synthetic_points(mp, [1.0, 1.0, -1.0], G=[0.5, 2.0, 0.5])
+    assert points.eta[1] < 0
+    assert points.stable.tolist() == dynamics.is_stable_rh(
+        points.delta, points.G, 1.4, 1.0, 1e-5).tolist() == [True, False, False]
+    assert points.degenerate.tolist() == [False] * 3
+    assert points.branch.tolist() == ["synthetic"] * 3
+    assert working_point_from_eta(mp, 0.5, 1.0).stable
+    assert not working_point_from_eta(mp, -0.5, 1.0).stable
+    assert not working_point_from_coupling(mp, 0.5, -1.0).stable
 
 
 @pytest.mark.parametrize("etas", [(-1e300, 2.0), (2.0, -1e300)])
