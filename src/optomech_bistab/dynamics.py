@@ -22,9 +22,12 @@ characteristic quartic, evaluated in a factored form whose terms are all
 non-negative save the Hopf term at Delta < 0 (the expanded form cancels
 catastrophically when gamma_m << kappa << omega_m). It decides every
 working point, the roots of the steady-state cubic and the synthetic
-points of theoretical axes alike. The spectrum gives only the decay
-rates (``spectral_decay``) and the eigenvalue tests of the Lyapunov
-solve.
+points of theoretical axes alike. The marginal verdict (``is_marginal``:
+a decay rate at most MARGINAL_DECAY_FRACTION * omega_m) is the same
+verdict on the drift shifted by that rate. So the covariance chain
+takes a spectrum only for the eigenvalue tests of ``solve_lyapunov``,
+and only on drift matrices too large for a bound on the spectrum to
+rule those tests out.
 """
 
 from __future__ import annotations
@@ -45,6 +48,16 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # decay rates slower than this fraction of omega_m are treated as marginal
 MARGINAL_DECAY_FRACTION = 1e-8
+
+# an eigenvalue pair l_i + l_j below this fraction of the spectral radius
+# makes the Lyapunov system ill conditioned
+PAIR_SUM_FRACTION = 1e-12
+
+# ||A||_F, in units of omega_m, below which that pair test cannot fire on
+# a matrix that is not marginal: min |l_i + l_j| >= 2 * decay > 2 * f *
+# omega_m, f the marginal fraction, and max |l| <= ||A||_F (a factor 2 of
+# margin against round-off in either)
+_SPECTRUM_FREE_NORM = MARGINAL_DECAY_FRACTION / PAIR_SUM_FRACTION
 
 # residual bound of the direct Lyapunov solve, c * eps * max|A| * max|V|:
 # the round-off of A V + V A^T, which grows with V as the decay rate -> 0.
@@ -108,33 +121,56 @@ def diffusion_matrix(mp: "ModelParams") -> np.ndarray:
 
 
 def is_stable_rh(delta: float, G: float, kappa: float, omega_m: float,
-                 gamma_m: float) -> bool | np.ndarray:
+                 gamma_m: float, spring: float = 1.0) -> bool | np.ndarray:
     """Hurwitz stability verdict on the drift matrix, for either sign of
     Delta: True iff every eigenvalue has strictly negative real part, the
     boundary counting as not stable. Takes scalars or broadcast arrays.
 
-    The characteristic quartic l^4 + a1 l^3 + a2 l^2 + a3 l + a4 of A has
-    a1 = g + 2k, a2 = D^2 + k^2 + w^2 + 2gk, a3 = g(D^2 + k^2) + 2kw^2 and
-    a4 = w(w(k^2 + D^2) - G^2 D), with D = delta, k = kappa, w = omega_m
-    and g = gamma_m. It is Hurwitz iff a1, H2 = a1 a2 - a3, H3 = a1 a2 a3
-    - a3^2 - a1^2 a4 and a4 are positive (DeJesus & Kaufman, PRA 35, 5288
-    (1987)). H2 and H3 are evaluated factored, as sums whose every term is
-    non-negative for g, k >= 0 save the Hopf term of H3 at D < 0: the
-    expanded H3 cancels catastrophically when g << k << w.
+    The characteristic quartic [(l + k)^2 + D^2][l^2 + g l + w^2] - w G^2 D
+    = l^4 + a1 l^3 + a2 l^2 + a3 l + a4 of A has a1 = g + 2k, a2 = D^2 +
+    k^2 + w^2 + 2gk, a3 = g(D^2 + k^2) + 2kw^2 and a4 = w(w(k^2 + D^2) -
+    G^2 D), with D = delta, k = kappa, w = omega_m and g = gamma_m. It is
+    Hurwitz iff a1, H2 = a1 a2 - a3, H3 = a1 a2 a3 - a3^2 - a1^2 a4 and a4
+    are positive (DeJesus & Kaufman, PRA 35, 5288 (1987)). H2 and H3 are
+    evaluated factored, as sums whose every term is non-negative for g,
+    k >= 0 save the Hopf term of H3 at D < 0: the expanded H3 cancels
+    catastrophically when g << k << w.
+
+    ``spring`` replaces w^2 by spring * w^2 in the mechanical factor only,
+    w G^2 staying as it is: the quartic of a shifted drift (``is_marginal``),
+    whose restoring term may have either sign.
     """
     # scaled by a power of two at the largest rate: exact, so it changes no
     # sign below, and no product overflows
     _, exp = np.frexp(functools.reduce(np.maximum, map(np.abs, (
         delta, G, kappa, omega_m, gamma_m))))
     d, G, k, w, g = (np.ldexp(x, -exp) for x in (delta, G, kappa, omega_m, gamma_m))
-    d2, k2, w2 = d * d, k * k, w * w
+    d2, k2, w2 = d * d, k * k, spring * w * w
     a1 = g + 2.0 * k
-    a4 = w * (w * (k2 + d2) - G * G * d)
+    a4 = w * (spring * w * (k2 + d2) - G * G * d)
     h2 = 2.0 * k * (d2 + k2) + g * (w2 + 2.0 * g * k + 4.0 * k2)
     h3 = 2.0 * g * k * ((d2 + k2 - w2) ** 2 + 4.0 * k2 * w2 + g * (
         g * d2 + 2.0 * k * d2 + g * k2 + 2.0 * k * k2 + 2.0 * k * w2)) \
         + d * w * G * G * a1 * a1
     return (a1 > 0.0) & (h2 > 0.0) & (h3 > 0.0) & (a4 > 0.0)
+
+
+def is_marginal(delta: float, G: float, kappa: float, omega_m: float,
+                gamma_m: float) -> bool | np.ndarray:
+    """True iff the slowest decay rate of the drift matrix is at most c =
+    MARGINAL_DECAY_FRACTION * omega_m, every unstable matrix among them:
+    the Hurwitz verdict on A + c I, with no eigenvalue. Takes what
+    ``is_stable_rh`` takes.
+
+    With l -> l - c and f the fraction, the quartic keeps its form with
+    k - c, g - 2c and the restoring term (1 - f g/w + f^2) w^2 in place of
+    w^2, the product w G^2 unchanged; the restoring term is negative for
+    mechanics damped beyond g = (1/f + f) w.
+    """
+    f = MARGINAL_DECAY_FRACTION
+    c = f * omega_m
+    return ~is_stable_rh(delta, G, kappa - c, omega_m, gamma_m - 2.0 * c,
+                         spring=1.0 - f * gamma_m / omega_m + f * f)
 
 
 def spectral_decay(eig: np.ndarray) -> np.ndarray:
@@ -151,42 +187,72 @@ def decay_rate(A: np.ndarray) -> float | np.ndarray:
     return rate if rate.ndim else float(rate)
 
 
-def solve_lyapunov(A: np.ndarray, D: np.ndarray,
-                   eig: np.ndarray | None = None) -> np.ndarray:
+def solve_lyapunov(A: np.ndarray, D: np.ndarray, omega_m=None) -> np.ndarray:
     """Unique symmetric V with A V + V A^T + D = 0.
 
     Solved for the 10 packed upper-triangle entries of V as one dense
     system with matrix ``_MAP @ A.ravel()``. Raises UnstableSystemError
     (naming the offending eigenvalue) if A is not Hurwitz, and
-    IllConditionedError if an eigenvalue pair nearly sums to zero, the
-    system is singular or the residual contract max|A V + V A^T + D| <=
-    max(c * eps * max|A| * max|V|, tiny) cannot be met: c = 64, eps the
-    machine epsilon and tiny the smallest normal float. The bound is the
-    backward-error scale of the solve (Higham, BIT 33, 1993): over 20,000
-    drift matrices of the default model with kappa and Delta in [0.05, 3]
-    and [0.02, 3] omega_m and eta log-uniform in [1e-8, 1] the residual
-    stays below 2.5 * eps * max|A| * max|V|.
+    IllConditionedError if an eigenvalue pair sums to less than
+    PAIR_SUM_FRACTION of the spectral radius, the system is singular or
+    the residual contract max|A V + V A^T + D| <= max(c * eps * max|A| *
+    max|V|, tiny) cannot be met: c = 64, eps the machine epsilon and tiny
+    the smallest normal float. The bound is the backward-error scale of
+    the solve (Higham, BIT 33, 1993): over 20,000 drift matrices of the
+    default model with kappa and Delta in [0.05, 3] and [0.02, 3] omega_m
+    and eta log-uniform in [1e-8, 1] the residual stays below 2.5 * eps *
+    max|A| * max|V|.
 
-    Stacks A and D (N, 4, 4) give the stack of V, each matrix solved on
-    its own. A row where the one-matrix call would raise is NaN. Rows that
-    fail the eigenvalue tests skip the stacked solve; where numpy rejects
-    it for a singular matrix, each row is solved as a stack of its own.
+    ``omega_m`` is given for a drift matrix that the Hurwitz verdicts
+    call stable and not marginal (``is_stable_rh``, ``is_marginal``).
+    Below the norm bound ||A||_F < _SPECTRUM_FREE_NORM * omega_m the
+    eigenvalue tests cannot fire, and A goes straight to the packed solve
+    and its residual bound, with no eigenvalue call. At or above it the
+    tests run, and a computed spectrum that does not decay raises
+    IllConditionedError, not UnstableSystemError.
 
-    ``eig`` is the spectrum of A (the (N, 4) eigenvalues of a stack), for
-    a caller that has it already, as ``quantum.covariance_rows`` has from
-    its marginal test; without it, it is computed from A.
+    Stacks A and D (N, 4, 4), with omega_m per row, give the stack of V,
+    each matrix solved on its own. A row where the one-matrix call would
+    raise is NaN. Rows that fail the eigenvalue tests skip the stacked
+    solve; where numpy rejects it for a singular matrix, each row is
+    solved as a stack of its own.
     """
-    if eig is None:
-        eig = np.linalg.eigvals(A)
-    decay = spectral_decay(eig)
-    pair_min = np.abs(eig[..., :, None] + eig[..., None, :]).min(axis=(-2, -1))
-    near_zero = pair_min < 1e-12 * np.abs(eig).max(-1)
+    tested = np.full(A.shape[:-2], True) if omega_m is None else \
+        ~(np.linalg.norm(A, axis=(-2, -1)) < _SPECTRUM_FREE_NORM * omega_m)
     if A.ndim == 2:
-        if decay <= 0.0:
-            raise UnstableSystemError(eig[np.argmax(eig.real)])
-        if near_zero:
-            raise IllConditionedError(
-                f"eigenvalue pair sums to ~0 (min |l_i + l_j| = {pair_min:.3e})")
+        if tested:
+            eig = np.linalg.eigvals(A)
+            if spectral_decay(eig) <= 0.0:
+                unstable = UnstableSystemError(eig[np.argmax(eig.real)])
+                if omega_m is None:
+                    raise unstable
+                raise IllConditionedError(
+                    f"computed spectrum does not decay: {unstable}")
+            pair_min = _pair_min(eig)
+            if pair_min < PAIR_SUM_FRACTION * np.abs(eig).max():
+                raise IllConditionedError(
+                    f"eigenvalue pair sums to ~0 (min |l_i + l_j| = {pair_min:.3e})")
+        return _solve_packed(A, D)
+    solved = ~tested
+    if tested.any():
+        eig = np.linalg.eigvals(A[tested])
+        solved[tested] = (spectral_decay(eig) > 0.0) & \
+            ~(_pair_min(eig) < PAIR_SUM_FRACTION * np.abs(eig).max(-1))
+    out = np.full(A.shape, np.nan)
+    out[solved] = _solve_packed(A[solved], D[solved])
+    return out
+
+
+def _pair_min(eig: np.ndarray) -> np.ndarray:
+    """min |l_i + l_j| over the pairs of a spectrum, or per spectrum of a
+    stack (N, 4), i = j included."""
+    return np.abs(eig[..., :, None] + eig[..., None, :]).min(axis=(-2, -1))
+
+
+def _solve_packed(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The packed solve of ``solve_lyapunov`` and its residual bound,
+    without the eigenvalue tests, of one matrix or a stack."""
+    if A.ndim == 2:
         try:
             V = np.linalg.solve((_MAP @ A.ravel()).reshape(10, 10), -D[_I, _J])[_PACKED]
         except np.linalg.LinAlgError:
@@ -196,21 +262,16 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray,
             raise IllConditionedError(
                 f"Lyapunov residual {residual:.3e} exceeds {bound:.3e}")
         return V
-
-    out = np.full(A.shape, np.nan)
-    rows = np.flatnonzero((decay > 0.0) & ~near_zero)
-    A, D, eig = A[rows], D[rows], eig[rows]
     M = (A.reshape(-1, 16) @ _MAP.T).reshape(-1, 10, 10)
     try:
         V = np.linalg.solve(M, -D[:, _I, _J, None])[:, _PACKED, 0]
     except np.linalg.LinAlgError:  # for the whole stack, if one matrix is singular
-        if len(rows) > 1:
-            out[rows] = [solve_lyapunov(a[None], d[None], e[None])[0]
-                         for a, d, e in zip(A, D, eig)]
-        return out
+        if len(A) == 1:
+            return np.full(A.shape, np.nan)
+        return np.concatenate([_solve_packed(a[None], d[None]) for a, d in zip(A, D)])
     residual, bound = _residual_bound(A, V, D)
-    out[rows[residual <= bound]] = V[residual <= bound]
-    return out
+    V[~(residual <= bound)] = np.nan
+    return V
 
 
 def _residual_bound(A: np.ndarray, V: np.ndarray, D: np.ndarray) -> tuple:

@@ -199,7 +199,12 @@ def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams) -> dict:
     Unstable, marginal, degenerate, ill-conditioned and unphysical points
     keep their steady-state fields, and their covariance-derived fields are
     NaN (``validity_ok`` None); an unphysical covariance is the
-    ``error:PhysicalityError`` status. Any other exception of the chain propagates.
+    ``error:PhysicalityError`` status. The marginal verdict
+    (``dynamics.is_marginal``) and the solve (``dynamics.solve_lyapunov``
+    given omega_m) are those of the stacked chain, so that no spectrum is
+    taken below the solve's norm bound, and a computed spectrum that does
+    not decay above it is ill conditioning. Any other exception of the
+    chain propagates.
     """
     row = {**_point_fields(wp, mp), **dict.fromkeys(_COVARIANCE_COLUMNS, math.nan),
            "validity_ok": None}
@@ -209,13 +214,13 @@ def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams) -> dict:
     if not wp.stable:
         row["status"] = STATUS_UNSTABLE
         return row
+    if dynamics.is_marginal(wp.delta, wp.G, mp.kappa, mp.omega_m, mp.gamma_m):
+        row["status"] = STATUS_MARGINAL
+        return row
     try:
         A = dynamics.drift_from_rates(wp.delta, wp.G, mp.kappa, mp.omega_m,
                                       mp.gamma_m)
-        if dynamics.decay_rate(A) < dynamics.MARGINAL_DECAY_FRACTION * mp.omega_m:
-            row["status"] = STATUS_MARGINAL
-            return row
-        V = dynamics.solve_lyapunov(A, dynamics.diffusion_matrix(mp))
+        V = dynamics.solve_lyapunov(A, dynamics.diffusion_matrix(mp), mp.omega_m)
         report = quantum.log_negativity(V, photons=wp.photons)
     except IllConditionedError:
         row["status"] = STATUS_CONDITIONING
@@ -242,8 +247,9 @@ def _chain_columns(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
     ``model`` the arrays of their ModelParams fields, ``stable`` their
     Hurwitz verdicts and ``degenerate`` marks double roots. The covariance
     chain (``quantum.covariance_rows``) runs on the stable rows that are
-    not degenerate, in stacks of at most ``_CHUNK_ROWS`` rows, each with
-    one eigenvalue call.
+    not degenerate, in stacks of at most ``_CHUNK_ROWS`` rows; it takes
+    its marginal verdicts from the Hurwitz conditions too, and spectra
+    only of drift matrices at or above the norm bound of the solve.
     """
     n = len(delta)
     row = {name: np.full(n, math.nan) for name in _COVARIANCE_COLUMNS}
@@ -305,10 +311,10 @@ def sweep(spec: SweepSpec) -> SweepResult:
     axis1, then branch. Deterministic for a given spec.
 
     Both families give a root table, its picked roots and their models;
-    ``_chain_columns`` runs the covariance chain of the picked roots, so
-    that the sweep takes spectra of its live rows (the stable,
-    non-degenerate ones) only. It builds no ``WorkingPoint``; an exception
-    of the stacked chain propagates.
+    ``_chain_columns`` runs the covariance chain of the picked roots' live
+    rows (the stable, non-degenerate ones), which takes no spectrum below
+    the norm bound of the Lyapunov solve. It builds no ``WorkingPoint``;
+    an exception of the stacked chain propagates.
     """
     mp = spec.base if isinstance(spec.base, ModelParams) else derive_model(spec.base)
     validate_spec(spec)

@@ -25,11 +25,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .dynamics import (
-    MARGINAL_DECAY_FRACTION,
     diffusion_matrix,
     drift_from_rates,
+    is_marginal,
     solve_lyapunov,
-    spectral_decay,
     split_blocks,
 )
 from .errors import PhysicalityError
@@ -153,26 +152,25 @@ def covariance_rows(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
                     mp: "ModelParams") -> tuple[np.ndarray, np.ndarray,
                                                 EntanglementReport]:
     """The covariance chain of ``harness.evaluate_point`` on a stack of
-    working points the Hurwitz verdict calls stable: drift, decay rate,
-    Lyapunov solve, report.
+    working points the Hurwitz verdict calls stable: drift, marginal
+    verdict, Lyapunov solve, report.
 
     ``delta``, ``G`` and ``photons`` are 1-D arrays of N rows, and so are
-    the fields of the ModelParams ``mp``. One stacked eigenvalue call
-    gives the spectra of the rows' drift matrices, from which the decay
-    rates and the Lyapunov solve's eigenvalue tests are read. Returns the
-    mask of marginal rows (decay rate below MARGINAL_DECAY_FRACTION *
-    omega_m, every row whose spectrum does not decay among them), the
-    mask of rows whose Lyapunov solve raises alone, and the stacked
-    report, which is NaN on both masks and where the covariance is not
-    physical. Every row is bit-identical to the chain on that row alone.
+    the fields of the ModelParams ``mp``. Returns the mask of marginal
+    rows (``dynamics.is_marginal``: decay rate at most
+    MARGINAL_DECAY_FRACTION * omega_m), the mask of rows whose Lyapunov
+    solve (``dynamics.solve_lyapunov`` given omega_m) raises alone, and
+    the stacked report, which is NaN on both masks and where the
+    covariance is not physical. No row takes a spectrum save those at or
+    above the solve's norm bound. Every row is bit-identical to the chain
+    on that row alone.
     """
     A = drift_from_rates(delta, G, mp.kappa, mp.omega_m, mp.gamma_m)
-    eig = np.linalg.eigvals(A)
-    marginal = spectral_decay(eig) < MARGINAL_DECAY_FRACTION * mp.omega_m
+    marginal = is_marginal(delta, G, mp.kappa, mp.omega_m, mp.gamma_m)
+    live = ~marginal
     V = np.full(A.shape, np.nan)
-    V[~marginal] = solve_lyapunov(A[~marginal], diffusion_matrix(mp)[~marginal],
-                                  eig[~marginal])
-    return marginal, ~marginal & np.isnan(V[:, 0, 0]), log_negativity(V, photons)
+    V[live] = solve_lyapunov(A[live], diffusion_matrix(mp)[live], mp.omega_m[live])
+    return marginal, live & np.isnan(V[:, 0, 0]), log_negativity(V, photons)
 
 
 def approx_phonons(delta: float, kappa: float, omega_m: float,

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import optomech_bistab
-from optomech_bistab import __version__, harness
+from optomech_bistab import __version__, dynamics, harness
 from optomech_bistab.cli import main
 
 
@@ -73,6 +74,25 @@ def test_sweep_command(tmp_path, config_file):
     data = [l for l in lines if not l.startswith("#")]
     assert data[0].startswith("Delta_target_over_wm,eta_target,")
     assert len(data) - 1 == 15  # 5 eta x 3 detuning synthetic points
+
+
+def test_a_sweep_above_the_norm_bound_keeps_the_eigenvalue_tests(tmp_path, monkeypatch):
+    # from Delta = 1.7e8 omega_m on, ||A||_F is above the norm bound of the
+    # spectrum-free solve, and the mechanical eigenvalue pair sums to
+    # gamma_m = 1e-5 omega_m, below 1e-12 of the spectral radius: the
+    # solve's eigenvalue tests make those 24 rows conditioning, which the
+    # packed solve alone would call ok
+    def run(out):
+        assert main(["sweep", "--axis1", "coupling=0:1:4",
+                     "--axis2", "effective_detuning=1e3:1e9:7",
+                     "--out", str(out)]) == 0
+        lines = (out / "sweep.csv").read_text().splitlines()
+        rows = [l.split(",") for l in lines if not l.startswith("#")]
+        return [r[rows[0].index("status")] for r in rows[1:]]
+
+    assert run(tmp_path / "a") == ["ok"] * 4 + ["conditioning"] * 24
+    monkeypatch.setattr(dynamics, "_SPECTRUM_FREE_NORM", math.inf)
+    assert run(tmp_path / "b") == ["ok"] * 28
 
 
 def test_sweep_rejects_unknown_axis(tmp_path, config_file, capsys):

@@ -9,10 +9,12 @@ from scipy.linalg import expm
 
 from optomech_bistab import steady
 from optomech_bistab.dynamics import (
+    MARGINAL_DECAY_FRACTION,
     decay_rate,
     diffusion_matrix,
     drift_from_rates,
     integrate_lyapunov,
+    is_marginal,
     is_stable_rh,
     solve_lyapunov,
     spectral_decay,
@@ -164,6 +166,55 @@ def test_rh_equals_spectral_verdict_for_either_sign_of_delta(
     condition = 1.0 / abs(left[:, k].conj() @ right[:, k])
     assume(abs(decay) > 64 * np.finfo(float).eps * np.abs(A).max() * condition)
     assert is_stable_rh(delta, G, kappa, 1.0, gamma) == (decay > 0.0)
+
+
+@given(delta=st.floats(-3.0, 3.0),
+       coupling=st.one_of(st.floats(0.0, 2.0),
+                          st.floats(0.0, 10.0).map(lambda u: 1.0 - 10.0 ** -u)),
+       log_kappa=st.floats(-10.0, 0.5), log_gamma=st.floats(-10.0, -1.0))
+# the mechanics alone decays at gamma_m / 2, just above and below 1e-8
+@example(delta=1.0, coupling=0.0, log_kappa=0.0, log_gamma=math.log10(2.02e-8))
+@example(delta=1.0, coupling=0.0, log_kappa=0.0, log_gamma=math.log10(1.98e-8))
+@settings(max_examples=500, deadline=None)
+def test_marginal_verdict_equals_the_spectral_decay_test(delta, coupling,
+                                                         log_kappa, log_gamma):
+    kappa, gamma = 10.0 ** log_kappa, 10.0 ** log_gamma
+    # coupling 1 - 10^-u approaches the static threshold at |Delta|, where
+    # the decay rate falls through 1e-8
+    G = coupling * math.sqrt((kappa ** 2 + delta ** 2) / max(abs(delta), 1e-3))
+    A = drift_from_rates(delta, G, kappa, 1.0, gamma)
+    decay = spectral_decay(np.linalg.eigvals(A))
+    # a small A has a spectrum exact enough to be compared with c = 1e-8,
+    # away from c itself
+    assume(np.linalg.norm(A) < 1e2)
+    assume(abs(decay / MARGINAL_DECAY_FRACTION - 1.0) > 1e-3)
+    assert is_marginal(delta, G, kappa, 1.0, gamma) == (decay < MARGINAL_DECAY_FRACTION)
+
+
+@pytest.mark.parametrize("delta,G,kappa,gamma,marginal", [
+    # decay rates over 1e-8 from 60-digit roots of the quartic: 5.0e4,
+    # 5.3e6, 0.2 and 0.195, and not stable at all
+    (-1.0, 1e3, 1.0, 1e9, False),
+    (-1.0, 1e4, 1.0, 1e9, False),
+    (-4e3, 0.0, 500.0, 5e8, True),
+    (4e3, 10.0, 500.0, 5e8, True),
+    (1.0, 1e3, 1.0, 1e9, True),
+])
+def test_marginal_verdict_of_mechanics_damped_beyond_the_shift(delta, G, kappa,
+                                                               gamma, marginal):
+    # gamma_m > 1e8 omega_m: the restoring term of the shifted quartic is
+    # negative, and at Delta < 0 the optical spring can still make the
+    # slowest mode decay faster than 1e-8 omega_m
+    assert is_marginal(delta, G, kappa, 1.0, gamma) == marginal
+
+
+def test_marginal_verdict_takes_broadcast_arrays():
+    delta, G = np.array([1.0, -1.0, 1.0]), np.array([0.5, 1e3, 0.0])
+    gamma = np.array([1e-4, 1e9, 1.98e-8])
+    assert is_marginal(delta, G, 1.4, 1.0, gamma).tolist() == [False, False, True]
+    # scaled by a power of two, as the stability verdict is
+    assert is_marginal(1e200 * delta, 1e200 * G, 1.4e200, 1e200,
+                       1e200 * gamma).tolist() == [False, False, True]
 
 
 # --- Lyapunov solver ----------------------------------------------------------
@@ -335,12 +386,9 @@ def test_stacked_calls_equal_one_matrix_calls(problems):
     D = np.array([d for _, d in problems])
     rates, V = decay_rate(A), solve_lyapunov(A, D)
     assert rates.shape == (len(problems),) and V.shape == A.shape
-    # spectra from other eigenvalue calls, as a root table supplies them
+    # spectra from other eigenvalue calls
     eig = np.array([np.linalg.eigvals(a) for a in A])
     assert np.array_equal(spectral_decay(eig), rates)
-    supplied = solve_lyapunov(A, D, eig)
-    assert np.array_equal(supplied, V, equal_nan=True)
-    assert np.array_equal(np.signbit(supplied), np.signbit(V))
     for k, (a, d) in enumerate(problems):
         assert rates[k] == decay_rate(a)
         try:
@@ -350,6 +398,38 @@ def test_stacked_calls_equal_one_matrix_calls(problems):
         else:
             assert np.array_equal(V[k], expected)
             assert np.array_equal(np.signbit(V[k]), np.signbit(expected))
+
+
+def test_lyapunov_given_omega_m_takes_no_spectrum_below_the_norm_bound(monkeypatch, rng):
+    A = np.array([stable_drift(rng, min_decay=1e-4)[0] for _ in range(3)])
+    D = np.array([np.diag([0.0, 1e-3, 0.7, 0.7])] * 3)
+    expected = solve_lyapunov(A, D)
+
+    def refused(*args):
+        raise AssertionError("eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    assert np.array_equal(solve_lyapunov(A, D, np.ones(3)), expected)
+    for a, d, v in zip(A, D, expected):
+        assert np.array_equal(solve_lyapunov(a, d, 1.0), v)
+
+
+def test_lyapunov_given_omega_m_keeps_the_eigenvalue_tests_above_the_norm_bound(rng):
+    # drift matrices at omega_m = 1 read at omega_m = 1e-5, whose bound
+    # 0.1 they are above: a spectrum that does not decay is ill
+    # conditioning, as the Hurwitz verdict called the matrix stable
+    stable = stable_drift(rng, min_decay=1e-4)[0], np.diag([0.0, 1e-3, 0.7, 0.7])
+    A = np.array([stable[0], *(a for a, _ in _REJECTED)])
+    D = np.array([stable[1], *(d for _, d in _REJECTED)])
+    V = solve_lyapunov(A, D, np.full(3, 1e-5))
+    assert np.array_equal(V[0], solve_lyapunov(*stable))
+    assert np.isnan(V[1:]).all()
+    assert np.array_equal(solve_lyapunov(*stable, 1e-5), V[0])
+    for a, d in _REJECTED:
+        with pytest.raises(IllConditionedError):
+            solve_lyapunov(a, d, 1e-5)
+    with pytest.raises(IllConditionedError, match="does not decay"):
+        solve_lyapunov(*_REJECTED[0], 1e-5)
 
 
 def test_stacked_lyapunov_rejects_the_row_off_its_residual(monkeypatch, rng):

@@ -605,52 +605,84 @@ def _chunked_rows():
         return _rows(sweep(_CHUNKED))
 
 
-def test_an_experimental_sweep_takes_spectra_of_its_live_rows_only(monkeypatch):
-    # the roots' verdicts are Hurwitz, the chain's one eigenvalue call per
-    # chunk takes the live rows, and decay rates and the solve reuse it
-    eigvals, decay_rate, calls = np.linalg.eigvals, dynamics.decay_rate, []
+def _refuse_spectra(monkeypatch) -> list:
+    """Make every eigenvalue call and ``decay_rate`` raise, and return the
+    list that records the row count of each ``quantum.covariance_rows``
+    call."""
+    covariance_rows, calls = quantum.covariance_rows, []
 
-    def counting_eigvals(A):
-        calls.append(len(A))
-        return eigvals(A)
+    def recording(delta, *args):
+        calls.append(len(delta))
+        return covariance_rows(delta, *args)
 
-    def counting_decay_rate(A):
-        calls.append("decay_rate")
-        return decay_rate(A)
+    def refused(*args):
+        raise AssertionError("a spectrum below the norm bound")
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
-    for module in (dynamics, quantum):
-        if getattr(module, "decay_rate", None) is decay_rate:
-            monkeypatch.setattr(module, "decay_rate", counting_decay_rate)
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    monkeypatch.setattr(dynamics, "decay_rate", refused)
+    monkeypatch.setattr(quantum, "covariance_rows", recording)
+    return calls
+
+
+def test_an_experimental_sweep_solves_its_live_rows_without_a_spectrum(monkeypatch):
+    # the roots' and the marginal verdicts are Hurwitz, and every drift
+    # matrix is below the norm bound: the chain takes the live rows, in
+    # one chunk, and no spectrum, as does the one-row reference
+    calls = _refuse_spectra(monkeypatch)
     columns = sweep(_CHUNKED).columns
     live = sum(s and b != "degenerate" for s, b in zip(columns["stable"],
                                                        columns["status"]))
     assert "ok" in columns["status"] and live < len(columns["status"]) <= harness._CHUNK_ROWS
     assert calls == [live]
+    assert "ok" in _assert_sweep_equals_per_cell_path(_CHUNKED)
 
 
-def test_a_theoretical_sweep_takes_one_spectrum_per_chunk(monkeypatch):
+def test_a_theoretical_sweep_solves_one_stack_per_chunk_without_a_spectrum(monkeypatch):
     # nine cells, six of them Hurwitz-stable: two chunks (4, 2) of live
-    # rows at chunk_rows=4, each with one eigenvalue call that gives the
-    # decay rates and solve tests
-    eigvals, calls = np.linalg.eigvals, []
-
-    def counting_eigvals(A):
-        calls.append(len(A))
-        return eigvals(A)
-
+    # rows at chunk_rows=4, none of them taking a spectrum
     def refused(*args):
         raise AssertionError("called on a theoretical sweep")
 
-    monkeypatch.setattr(np.linalg, "eigvals", counting_eigvals)
+    calls = _refuse_spectra(monkeypatch)
     monkeypatch.setattr(harness, "evaluate_point", refused)
-    monkeypatch.setattr(dynamics, "decay_rate", refused)
     monkeypatch.setattr(harness, "_CHUNK_ROWS", 4)
     columns = sweep(SweepSpec(_model(), AxisSpec("eta", (-0.5, 0.25, 0.5)),
                               AxisSpec("effective_detuning", (0.5, 1.0, 2.0)))).columns
     assert {"ok", "unstable"} <= set(columns["status"])
     assert columns["stable"].sum() == 6
     assert calls == [4, 2]
+
+
+def test_rows_above_the_norm_bound_read_alike_on_both_paths():
+    # the drift matrices at Delta >= 1.7e8 omega_m keep the solve's
+    # eigenvalue tests, which make them conditioning on either path
+    spec = SweepSpec(_DEFAULT_MODEL, AxisSpec("coupling", linear_grid(0.0, _W, 4)),
+                     AxisSpec("effective_detuning", linear_grid(1e3 * _W, 1e9 * _W, 7)))
+    assert _assert_sweep_equals_per_cell_path(spec) == {"ok", "conditioning"}
+
+
+# rows whose marginal verdict eigenvalue round-off at a large spectral
+# radius once put on the wrong side of 1e-8 omega_m: (kappa, gamma_m, G,
+# Delta) in units of omega_m and the status, with the true decay rate over
+# 1e-8 omega_m from 60-digit roots of the characteristic quartic
+_SPECTRAL_ROUND_OFF_ROWS = [
+    ((1e-6, 1e-5, 1e-3, 1e10), "conditioning"),  # decay 100, was marginal
+    ((1e5, 1e-12, 1.0, 1e10), "marginal"),  # 5e-5, was conditioning
+    ((1e9, 1e-12, 1.0, 1e3), "marginal"),  # 5e-5, was conditioning
+    ((1e9, 1e-12, 1.0, 1e10), "marginal"),  # 5e-5, was conditioning
+    # 1.000003, was marginal; the Hurwitz verdict flips at 1 + 2.9e-6
+    ((1e3, 1e-2, 1e4, 1e8), "conditioning"),
+]
+
+
+@pytest.mark.parametrize("rates,status", _SPECTRAL_ROUND_OFF_ROWS,
+                         ids=[str(r[0]) for r in _SPECTRAL_ROUND_OFF_ROWS])
+def test_the_marginal_verdict_is_exact_at_a_large_spectral_radius(rates, status):
+    kappa, gamma, G, delta = rates
+    mp = replace(_DEFAULT_MODEL, kappa=kappa * _W, gamma_m=gamma * _W)
+    spec = SweepSpec(mp, AxisSpec("coupling", (G * _W,)),
+                     AxisSpec("effective_detuning", (delta * _W,)))
+    assert _assert_sweep_equals_per_cell_path(spec) == {status}
 
 
 def test_undriven_rows_of_nearly_undamped_mechanics_are_marginal():
