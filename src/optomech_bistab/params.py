@@ -139,8 +139,16 @@ def laser_frequency(wavelength: float) -> float:
 
 
 def cavity_decay(cavity_length: float, finesse: float) -> float:
-    """Amplitude decay rate pi*c/(2*F*L) (half-linewidth convention)."""
-    return math.pi * _C / (2.0 * finesse * cavity_length)
+    """Amplitude decay rate pi*c/(2*F*L) (half-linewidth convention).
+    Raises ValidationError naming both inputs where 2*F*L underflows to 0
+    or the rate is 0 in double precision (2*F*L overflowing among them)."""
+    round_trip = 2.0 * finesse * cavity_length
+    _require(round_trip > 0, "cavity_length, finesse",
+             "out of range, 2*finesse*cavity_length underflows to 0")
+    kappa = math.pi * _C / round_trip
+    _require(kappa > 0, "cavity_length, finesse", "out of range, the decay "
+             "rate kappa = pi*c/(2*finesse*cavity_length) is 0")
+    return kappa
 
 
 def drive_amplitude(power: float, kappa: float, omega_L: float) -> float:
@@ -184,7 +192,8 @@ def derive_model(p: PhysicalParams) -> ModelParams:
     Raises ValidationError naming the offending field on non-finite or
     out-of-range inputs, also where a derived value would overflow: the
     photon energy hbar*omega_L, the drive E or the steady-state cubic (see
-    ``cubic_overflows``), and where the coupling G0 underflows to 0.
+    ``cubic_overflows``), and where the coupling G0, the product
+    mass*omega_m or the derived decay rate kappa is 0 (``cavity_decay``).
     Power, delta0 and temperature may be numpy arrays, checked elementwise;
     the fields then broadcast over a sweep grid, each element bit-identical
     to the scalar derivation (only + - * / sqrt).
@@ -197,6 +206,8 @@ def derive_model(p: PhysicalParams) -> ModelParams:
     omega_c = omega_L + p.delta0
     kappa = p.kappa_override if p.kappa_override is not None \
         else cavity_decay(p.cavity_length, p.finesse)
+    _require(p.mass * p.omega_m > 0, "mass, omega_m",
+             "out of range, their product mass*omega_m underflows to 0")
     g0 = (omega_c / p.cavity_length) * math.sqrt(_HBAR / (p.mass * p.omega_m))
     # a coupling that underflows to 0 is not a decoupled cavity
     _require(np.all((g0 != 0) | (omega_c == 0)), "cavity_length, mass, omega_m, "

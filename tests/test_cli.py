@@ -26,6 +26,9 @@ freq_convention = cyclic
 kappa_override = 1.4e7
 """
 
+# CONFIG without the override: kappa derived from the finesse and the length
+CONFIG_DERIVED_KAPPA = CONFIG.replace("kappa_override = 1.4e7\n", "")
+
 
 @pytest.fixture
 def config_file(tmp_path):
@@ -258,14 +261,14 @@ def _probe_ids(probes):
     return [" ".join(filter(None, [e, *c])) for e, c, *_ in probes]
 
 
-def _run_probe(tmp_path, edit, command):
-    """Exit code of ``command`` run on CONFIG with one line replaced by
+def _run_probe(tmp_path, edit, command, base=CONFIG):
+    """Exit code of ``command`` run on ``base`` with one line replaced by
     ``edit``, and the CSV rows it wrote: (header, rows), or None."""
-    config = CONFIG
+    config = base
     if edit is not None:
         key = edit.split(" = ")[0]
-        config = re.sub(rf"^{key} = .*$", edit, CONFIG, flags=re.M)
-        assert config != CONFIG
+        config = re.sub(rf"^{key} = .*$", edit, base, flags=re.M)
+        assert config != base
     path = tmp_path / "edge.cfg"
     path.write_text(config)
     out = tmp_path / "out"
@@ -353,6 +356,32 @@ def test_overflowing_inputs_exit_2(tmp_path, capsys, edit, command, name):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and name in err
+    assert "Warning" not in err
+
+
+# inputs whose derived mass*omega_m or decay rate kappa is 0 in double
+# precision: each must end in exit 2 naming the inputs, never in a
+# traceback. All but the first derive kappa from the finesse and the length
+DERIVED_ZERO_PROBES = [
+    ("mech_freq = 5e-324", ["steady"], "mass, omega_m", CONFIG),
+    # 2*finesse*cavity_length underflows to 0
+    ("finesse = 5e-324", ["figure", "fig6", "--grid", "3"],
+     "cavity_length, finesse", CONFIG_DERIVED_KAPPA),
+    # 2*finesse*cavity_length overflows, and kappa = pi*c/inf is 0
+    ("finesse = 1e308", ["figure", "fig4", "--grid", "5"],
+     "cavity_length, finesse", CONFIG_DERIVED_KAPPA),
+    ("cavity_length_m = 1e308", ["figure", "fig2", "--grid", "7"],
+     "cavity_length, finesse", CONFIG_DERIVED_KAPPA),
+]
+
+
+@pytest.mark.parametrize("edit,command,name,base", DERIVED_ZERO_PROBES,
+                         ids=_probe_ids(DERIVED_ZERO_PROBES))
+def test_a_derived_zero_exits_2(tmp_path, capsys, edit, command, name, base):
+    code, _ = _run_probe(tmp_path, edit, command, base)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {name}: out of range")
     assert "Warning" not in err
 
 
