@@ -212,35 +212,47 @@ def solve_lyapunov(A: np.ndarray, D: np.ndarray, omega_m=None) -> np.ndarray:
     IllConditionedError, not UnstableSystemError.
 
     Stacks A and D (N, 4, 4), with omega_m per row, give the stack of V,
-    each matrix solved on its own. A row where the one-matrix call would
-    raise is NaN. Rows that fail the eigenvalue tests skip the stacked
-    solve; where numpy rejects it for a singular matrix, each row is
-    solved as a stack of its own.
+    each matrix solved on its own, NaN on every row that fails
+    (``_solve_rows``). One matrix is solved as a stack of one, and its
+    call raises the error of its row.
     """
-    tested = np.full(A.shape[:-2], True) if omega_m is None else \
+    if A.ndim == 3:
+        return _solve_rows(A, D, omega_m)[0]
+    V, failed = _solve_rows(A[None], D[None],
+                            None if omega_m is None else np.reshape(omega_m, 1))
+    if failed:
+        raise failed[0]
+    return V[0]
+
+
+def _solve_rows(A: np.ndarray, D: np.ndarray, omega_m) -> tuple:
+    """The stack of V of ``solve_lyapunov`` on stacks (N, 4, 4), NaN on
+    every failed row, and the error of each failed row by row index: the
+    error its one-matrix call raises. Rows that fail the eigenvalue tests
+    skip the packed solve; a stack whose every row passes them is solved
+    whole."""
+    tested = np.full(len(A), True) if omega_m is None else \
         ~(np.linalg.norm(A, axis=(-2, -1)) < _SPECTRUM_FREE_NORM * omega_m)
-    if A.ndim == 2:
-        if tested:
-            eig = np.linalg.eigvals(A)
-            if spectral_decay(eig) <= 0.0:
-                unstable = UnstableSystemError(eig[np.argmax(eig.real)])
-                if omega_m is None:
-                    raise unstable
-                raise IllConditionedError(
-                    f"computed spectrum does not decay: {unstable}")
-            pair_min = _pair_min(eig)
-            if pair_min < PAIR_SUM_FRACTION * np.abs(eig).max():
-                raise IllConditionedError(
-                    f"eigenvalue pair sums to ~0 (min |l_i + l_j| = {pair_min:.3e})")
-        return _solve_packed(A, D)
-    solved = ~tested
+    failed = {}
     if tested.any():
-        eig = np.linalg.eigvals(A[tested])
-        solved[tested] = (spectral_decay(eig) > 0.0) & \
-            ~(_pair_min(eig) < PAIR_SUM_FRACTION * np.abs(eig).max(-1))
-    out = np.full(A.shape, np.nan)
-    out[solved] = _solve_packed(A[solved], D[solved])
-    return out
+        rows = np.flatnonzero(tested).tolist()
+        eig = np.linalg.eigvals(A[rows])
+        decay, pair_min = spectral_decay(eig), _pair_min(eig)
+        passed = (decay > 0.0) & ~(pair_min < PAIR_SUM_FRACTION * np.abs(eig).max(-1))
+        for k in np.flatnonzero(~passed).tolist():
+            if not decay[k] > 0.0:
+                unstable = UnstableSystemError(eig[k][np.argmax(eig[k].real)])
+                failed[rows[k]] = unstable if omega_m is None else \
+                    IllConditionedError(f"computed spectrum does not decay: {unstable}")
+            else:
+                failed[rows[k]] = IllConditionedError(
+                    f"eigenvalue pair sums to ~0 (min |l_i + l_j| = {pair_min[k]:.3e})")
+    if not failed:
+        return _solve_packed(A, D)
+    rows = np.setdiff1d(np.arange(len(A)), list(failed)).tolist()
+    V = np.full(A.shape, np.nan)
+    V[rows], unsolved = _solve_packed(A[rows], D[rows])
+    return V, {**failed, **{rows[k]: error for k, error in unsolved.items()}}
 
 
 def _pair_min(eig: np.ndarray) -> np.ndarray:
@@ -249,35 +261,32 @@ def _pair_min(eig: np.ndarray) -> np.ndarray:
     return np.abs(eig[..., :, None] + eig[..., None, :]).min(axis=(-2, -1))
 
 
-def _solve_packed(A: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """The packed solve of ``solve_lyapunov`` and its residual bound,
-    without the eigenvalue tests, of one matrix or a stack."""
-    if A.ndim == 2:
-        try:
-            V = np.linalg.solve((_MAP @ A.ravel()).reshape(10, 10), -D[_I, _J])[_PACKED]
-        except np.linalg.LinAlgError:
-            raise IllConditionedError("Lyapunov system is singular") from None
-        residual, bound = _residual_bound(A, V, D)
-        if not residual <= bound:
-            raise IllConditionedError(
-                f"Lyapunov residual {residual:.3e} exceeds {bound:.3e}")
-        return V
+def _solve_packed(A: np.ndarray, D: np.ndarray) -> tuple:
+    """The packed solve of ``solve_lyapunov`` and its residual bound on
+    stacks, without the eigenvalue tests: the stack of V, NaN on failed
+    rows, and the error of each failed row by row index. Where numpy
+    rejects the stack for a singular matrix, each row is solved as a
+    stack of its own."""
     M = (A.reshape(-1, 16) @ _MAP.T).reshape(-1, 10, 10)
     try:
         V = np.linalg.solve(M, -D[:, _I, _J, None])[:, _PACKED, 0]
     except np.linalg.LinAlgError:  # for the whole stack, if one matrix is singular
         if len(A) == 1:
-            return np.full(A.shape, np.nan)
-        return np.concatenate([_solve_packed(a[None], d[None]) for a, d in zip(A, D)])
+            return np.full(A.shape, np.nan), {0: IllConditionedError(
+                "Lyapunov system is singular")}
+        singles = [_solve_packed(a[None], d[None]) for a, d in zip(A, D)]
+        return np.concatenate([V for V, _ in singles]), \
+            {k: failed[0] for k, (_, failed) in enumerate(singles) if failed}
     residual, bound = _residual_bound(A, V, D)
-    V[~(residual <= bound)] = np.nan
-    return V
+    off = np.flatnonzero(~(residual <= bound)).tolist()
+    V[off] = np.nan
+    return V, {k: IllConditionedError(f"Lyapunov residual {residual[k]:.3e} "
+                                      f"exceeds {bound[k]:.3e}") for k in off}
 
 
 def _residual_bound(A: np.ndarray, V: np.ndarray, D: np.ndarray) -> tuple:
-    """max|A V + V A^T + D| and its bound, of one matrix or per matrix of
-    a stack."""
-    axes = (-2, -1) if A.ndim == 3 else None
+    """max|A V + V A^T + D| and its bound, per matrix of a stack."""
+    axes = (-2, -1)  # the matrix axes
     # an overflowing V gives a non-finite residual, which fails the bound
     with np.errstate(over="ignore", invalid="ignore"):
         residual = np.abs(A @ V + V @ A.swapaxes(-1, -2) + D).max(axis=axes)

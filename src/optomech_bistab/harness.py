@@ -10,12 +10,12 @@ for the coupling when eta is swept, for the whole grid in one pass
 Hurwitz stability verdict, and differ only in how: one tail maps the
 table's picked roots to row columns, running the covariance chain of the
 stable rows on stacks (``quantum.covariance_rows``) and mapping its
-masks to the row statuses. Per-row failures (instability,
-marginal decay, ill conditioning, a singular Lyapunov system, an
-unphysical covariance) are recorded in the ``status`` column, as the
-one-row reference ``evaluate_point`` records them, and never abort a
-sweep; any other exception of the covariance chain is a defect and
-propagates out of ``sweep``.
+masks to the row statuses (``_chain_columns``). Per-row failures
+(instability, marginal decay, ill conditioning, a singular Lyapunov
+system, an unphysical covariance) are recorded in the ``status`` column
+and never abort a sweep; any other exception of the covariance chain is
+a defect and propagates out of ``sweep``. ``evaluate_point`` is the
+same tail on one working point.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dynamics, quantum, steady
+from . import quantum, steady
 from .csvfile import write_csv
-from .errors import IllConditionedError, PhysicalityError, ValidationError
+from .errors import PhysicalityError, ValidationError
 from .params import (
     ModelParams,
     PhysicalParams,
@@ -66,9 +66,11 @@ BRANCH_CHOICES = ("lower", "upper", "both", "all")
 _POINT_COLUMNS = ("branch", "q_s", "photons", "Delta_over_wm", "G_over_wm",
                   "eta", "stable")
 
-# covariance-derived fields, NaN on rows that get no covariance
-_COVARIANCE_COLUMNS = ("n_m", "n_o", "Sigma", "detV", "E_N", "validity_ratio",
-                       "validity_ok")
+# covariance-derived CSV columns, NaN on rows that get no covariance, and
+# the EntanglementReport field of each
+_COVARIANCE_COLUMNS = {"n_m": "n_m", "n_o": "n_o", "Sigma": "sigma", "detV": "det_v",
+                       "E_N": "e_n", "validity_ratio": "validity_ratio",
+                       "validity_ok": "validity_ok"}
 
 # sweep CSV columns after the axis columns
 _ROW_COLUMNS = ("branch", "q_s", "photons", "eta", "n_m", "n_o", "E_N",
@@ -185,52 +187,21 @@ def _point_fields(wp, mp: ModelParams) -> dict:
         wp.G / mp.omega_m, wp.eta, wp.stable)))
 
 
-def _report_fields(report: quantum.EntanglementReport) -> dict:
-    """The covariance-derived fields of a CSV row; numbers, or arrays for a
-    stacked report."""
-    return dict(zip(_COVARIANCE_COLUMNS, (
-        report.n_m, report.n_o, report.sigma, report.det_v, report.e_n,
-        report.validity_ratio, report.validity_ok)))
-
-
 def evaluate_point(wp: steady.WorkingPoint, mp: ModelParams) -> dict:
     """One pipeline row: steady-state point -> covariance -> observables.
 
-    Unstable, marginal, degenerate, ill-conditioned and unphysical points
-    keep their steady-state fields, and their covariance-derived fields are
-    NaN (``validity_ok`` None); an unphysical covariance is the
-    ``error:PhysicalityError`` status. The marginal verdict
-    (``dynamics.is_marginal``) and the solve (``dynamics.solve_lyapunov``
-    given omega_m) are those of the stacked chain, so that no spectrum is
-    taken below the solve's norm bound, and a computed spectrum that does
-    not decay above it is ill conditioning. Any other exception of the
-    chain propagates.
+    The row of ``_chain_columns`` on a stack of one, beside the point's
+    steady-state fields, as Python floats, bools, strs and None: unstable,
+    marginal, degenerate, ill-conditioned and unphysical points keep their
+    steady-state fields, and their covariance-derived fields are NaN
+    (``validity_ok`` None).
     """
-    row = {**_point_fields(wp, mp), **dict.fromkeys(_COVARIANCE_COLUMNS, math.nan),
-           "validity_ok": None}
-    if wp.degenerate:
-        row["status"] = STATUS_DEGENERATE
-        return row
-    if not wp.stable:
-        row["status"] = STATUS_UNSTABLE
-        return row
-    if dynamics.is_marginal(wp.delta, wp.G, mp.kappa, mp.omega_m, mp.gamma_m):
-        row["status"] = STATUS_MARGINAL
-        return row
-    try:
-        A = dynamics.drift_from_rates(wp.delta, wp.G, mp.kappa, mp.omega_m,
-                                      mp.gamma_m)
-        V = dynamics.solve_lyapunov(A, dynamics.diffusion_matrix(mp), mp.omega_m)
-        report = quantum.log_negativity(V, photons=wp.photons)
-    except IllConditionedError:
-        row["status"] = STATUS_CONDITIONING
-        return row
-    except PhysicalityError:
-        row["status"] = f"{STATUS_ERROR}:{PhysicalityError.__name__}"
-        return row
-    row.update(_report_fields(report))
-    row["status"] = STATUS_OK
-    return row
+    columns = _chain_columns(
+        *(np.array([x], dtype=float) for x in (wp.delta, wp.G, wp.photons)),
+        [np.array([v], dtype=float) for v in vars(mp).values()],
+        np.array([wp.stable]), np.array([wp.degenerate]))
+    return {**_point_fields(wp, mp),
+            **{name: values.tolist()[0] for name, values in columns.items()}}
 
 
 # rows per stacked pass of the covariance chain; each matrix is solved on
@@ -240,8 +211,8 @@ _CHUNK_ROWS = 4096
 
 def _chain_columns(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
                    model: list, stable: np.ndarray, degenerate: np.ndarray) -> dict:
-    """The status and covariance columns of N sweep rows, with the
-    statuses ``evaluate_point`` gives.
+    """The status and covariance columns of N sweep rows: the one home of
+    a row's status, for both sweep families and ``evaluate_point``.
 
     ``delta``, ``G`` and ``photons`` are the rows' working points,
     ``model`` the arrays of their ModelParams fields, ``stable`` their
@@ -249,22 +220,26 @@ def _chain_columns(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
     chain (``quantum.covariance_rows``) runs on the stable rows that are
     not degenerate, in stacks of at most ``_CHUNK_ROWS`` rows; it takes
     its marginal verdicts from the Hurwitz conditions too, and spectra
-    only of drift matrices at or above the norm bound of the solve.
+    only of drift matrices at or above the norm bound of the solve. Its
+    masks give the statuses: an unphysical covariance is
+    ``error:PhysicalityError``, a failed Lyapunov solve ``conditioning``.
+    Any exception of the chain propagates.
     """
     n = len(delta)
     row = {name: np.full(n, math.nan) for name in _COVARIANCE_COLUMNS}
     row["validity_ok"] = np.full(n, None)
     row["status"] = np.full(n, STATUS_OK, dtype=object)
     live = np.flatnonzero(stable & ~degenerate)
-    for r in np.split(live, range(_CHUNK_ROWS, len(live), _CHUNK_ROWS)):
+    for start in range(0, len(live), _CHUNK_ROWS):
+        r = live[start:start + _CHUNK_ROWS]
         marginal, conditioning, report = quantum.covariance_rows(
             delta[r], G[r], photons[r], ModelParams(*(field[r] for field in model)))
         ok = ~np.isnan(report.e_n)
         row["status"][r[~ok]] = f"{STATUS_ERROR}:{PhysicalityError.__name__}"
         row["status"][r[conditioning]] = STATUS_CONDITIONING
         row["status"][r[marginal]] = STATUS_MARGINAL
-        for name, values in _report_fields(report).items():
-            row[name][r[ok]] = values[ok]
+        for name, attr in _COVARIANCE_COLUMNS.items():
+            row[name][r[ok]] = getattr(report, attr)[ok]
     row["status"][~stable] = STATUS_UNSTABLE
     row["status"][degenerate] = STATUS_DEGENERATE
     return row

@@ -98,62 +98,65 @@ def log_negativity(V: np.ndarray, photons: float | None = None) -> EntanglementR
     -PHYSICALITY_SLACK, or NaN, as where the determinants of V overflow.
 
     A stack (N, 4, 4), with ``photons`` an array or None, gives a report
-    of arrays. A row where the one-matrix call would raise is NaN in
-    every number and has validity_ok False. The logarithm is taken per
-    element through ``math``, as for one matrix, so that each row is
-    bit-identical to the one-matrix call (``np.log`` is not, in the last
-    bit of about 1% of values).
+    of arrays (``_report_rows``), NaN in every number and validity_ok
+    False on each row that fails. One matrix is a stack of one: its call
+    raises the error of its row, or returns the row as Python floats and
+    bools.
     """
+    if V.ndim == 3:
+        return _report_rows(V, photons)[0]
+    report, failed = _report_rows(
+        V[None], None if photons is None else np.array([photons], dtype=float))
+    if failed:
+        raise failed[0]
+    return EntanglementReport(*(v[0].item() for v in vars(report).values()))
+
+
+def _report_rows(V: np.ndarray, photons) -> tuple:
+    """The report of ``log_negativity`` on a stack (N, 4, 4), and the
+    error of each failed row by row index, the discriminant tested first:
+    the error its one-matrix call raises. The logarithm is taken per
+    element through ``math``: ``np.log`` differs from it in the last bit
+    of about 1% of values."""
     # overflowing determinants give a NaN disc, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
-        det_a, det_b, det_c = np.linalg.det(split_blocks(V))  # stacked: one call
+        det_a, det_b, det_c = np.linalg.det(split_blocks(V))  # one call
         sigma = det_a + det_b - 2.0 * det_c
         det_v = np.linalg.det(V)
         disc = sigma * sigma - 4.0 * det_v
-        if V.ndim == 3:
-            nu_sq = (sigma - np.sqrt(np.maximum(disc, 0.0))) / 2.0
-            physical = (disc >= -PHYSICALITY_SLACK) & (nu_sq >= -PHYSICALITY_SLACK)
-            nu_min = np.where(physical, np.sqrt(np.maximum(nu_sq, 0.0)), np.nan)
-            e_n = np.full(len(V), np.nan)
-            e_n[physical] = list(map(_e_n, nu_min[physical].tolist()))
-            n_m, n_o = np.where(physical, occupancies(V), np.nan)
-            if photons is None:
-                ratio, ok = np.full(len(V), np.nan), physical
-            else:
-                ratio = np.divide(n_o, photons, where=physical & (photons > 0),
-                                  out=np.where(physical, np.inf, np.nan))
-                ok = ratio <= VALIDITY_THRESHOLD
-            return EntanglementReport(
-                sigma=np.where(physical, sigma, np.nan),
-                det_v=np.where(physical, det_v, np.nan), nu_min=nu_min,
-                e_n=e_n, n_m=n_m, n_o=n_o, validity_ok=ok, validity_ratio=ratio)
-    if not disc >= -PHYSICALITY_SLACK:  # NaN too: overflowed determinants
-        raise PhysicalityError(
-            f"Sigma^2 - 4 det V = {disc:.3e}, not >= 0 within slack; "
-            "covariance is not physical")
-    nu_sq = (sigma - math.sqrt(max(disc, 0.0))) / 2.0
-    if not nu_sq >= -PHYSICALITY_SLACK:
-        raise PhysicalityError(f"nu_min^2 = {nu_sq:.3e}, not >= 0 within slack")
-    nu_min = math.sqrt(max(nu_sq, 0.0))
-    n_m, n_o = occupancies(V)
-    if photons is None:
-        ratio = float("nan")
-        ok = True
-    else:
-        ratio = n_o / photons if photons > 0 else math.inf
-        ok = ratio <= VALIDITY_THRESHOLD
-    return EntanglementReport(
-        sigma=float(sigma), det_v=float(det_v), nu_min=nu_min, e_n=_e_n(nu_min),
-        n_m=n_m, n_o=n_o, validity_ok=ok, validity_ratio=ratio,
-    )
+        nu_sq = (sigma - np.sqrt(np.maximum(disc, 0.0))) / 2.0
+        physical = (disc >= -PHYSICALITY_SLACK) & (nu_sq >= -PHYSICALITY_SLACK)
+        nu_min = np.where(physical, np.sqrt(np.maximum(nu_sq, 0.0)), np.nan)
+        e_n = np.full(len(V), np.nan)
+        e_n[physical] = list(map(_e_n, nu_min[physical].tolist()))
+        n_m, n_o = np.where(physical, occupancies(V), np.nan)
+        if photons is None:
+            ratio, ok = np.full(len(V), np.nan), physical
+        else:
+            ratio = np.divide(n_o, photons, where=physical & (photons > 0),
+                              out=np.where(physical, np.inf, np.nan))
+            ok = ratio <= VALIDITY_THRESHOLD
+    report = EntanglementReport(
+        sigma=np.where(physical, sigma, np.nan),
+        det_v=np.where(physical, det_v, np.nan), nu_min=nu_min,
+        e_n=e_n, n_m=n_m, n_o=n_o, validity_ok=ok, validity_ratio=ratio)
+    failed = {}
+    for k in np.flatnonzero(~physical).tolist():
+        failed[k] = PhysicalityError(  # a NaN disc fails its test too
+            f"Sigma^2 - 4 det V = {disc[k]:.3e}, not >= 0 within slack; "
+            "covariance is not physical" if not disc[k] >= -PHYSICALITY_SLACK
+            else f"nu_min^2 = {nu_sq[k]:.3e}, not >= 0 within slack")
+    return report, failed
 
 
 def covariance_rows(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
                     mp: "ModelParams") -> tuple[np.ndarray, np.ndarray,
                                                 EntanglementReport]:
-    """The covariance chain of ``harness.evaluate_point`` on a stack of
-    working points the Hurwitz verdict calls stable: drift, marginal
-    verdict, Lyapunov solve, report.
+    """The covariance chain on a stack of working points the Hurwitz
+    verdict calls stable: drift, marginal verdict, Lyapunov solve, report.
+    Each sweep chunk, and ``harness.evaluate_point``'s stack of one, is
+    one call, with one call each of ``solve_lyapunov`` and
+    ``log_negativity``.
 
     ``delta``, ``G`` and ``photons`` are 1-D arrays of N rows, and so are
     the fields of the ModelParams ``mp``. Returns the mask of marginal

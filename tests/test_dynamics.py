@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from optomech_bistab import steady
+from optomech_bistab import dynamics, steady
 from optomech_bistab.dynamics import (
     MARGINAL_DECAY_FRACTION,
     decay_rate,
@@ -336,9 +336,9 @@ def test_lyapunov_rejects_a_solution_off_in_one_entry(monkeypatch,
     solve = np.linalg.solve
     for entry in range(10):  # packed entries of V
 
-        def off_in_one_entry(M, b):
+        def off_in_one_entry(M, b):  # one matrix is solved as a stack of one
             x = solve(M, b)
-            x[entry] += 1e-6 * np.abs(x).max()
+            x[0, entry, 0] += 1e-6 * np.abs(x).max()
             return x
 
         monkeypatch.setattr(np.linalg, "solve", off_in_one_entry)
@@ -398,6 +398,31 @@ def test_stacked_calls_equal_one_matrix_calls(problems):
         else:
             assert np.array_equal(V[k], expected)
             assert np.array_equal(np.signbit(V[k]), np.signbit(expected))
+
+
+@pytest.mark.parametrize("omega_m", [None, 1.0, 1e-5])
+def test_each_failed_row_of_a_stack_records_the_error_of_its_own_call(omega_m, rng):
+    # a solved row beside rows failing the checks: not Hurwitz, an
+    # eigenvalue pair summing to ~0, a residual that is not finite. At
+    # omega_m = 1 the norm bound spares every row the eigenvalue tests,
+    # and the undamped row is a singular system; at 1e-5 it spares none
+    problems = [(stable_drift(rng, min_decay=1e-4)[0], np.diag([0.0, 1e-3, 0.7, 0.7])),
+                *_REJECTED, (np.diag([-1e-14, -1.0, -1.0, -1.0]), np.eye(4)),
+                (-np.eye(4), np.diag([0.0, np.inf, 1.0, 1.0]))]
+    A = np.array([a for a, _ in problems])
+    D = np.array([d for _, d in problems])
+    rates = None if omega_m is None else np.full(len(A), omega_m)
+    V, failed = dynamics._solve_rows(A, D, rates)
+    assert np.array_equal(V, solve_lyapunov(A, D, rates), equal_nan=True)
+    assert 0 not in failed and len(failed) >= 2
+    for k, (a, d) in enumerate(problems):
+        try:
+            solve_lyapunov(a, d, omega_m)
+        except (UnstableSystemError, IllConditionedError) as exc:
+            assert type(failed[k]) is type(exc) and str(failed[k]) == str(exc)
+            assert np.isnan(V[k]).all()
+        else:
+            assert k not in failed and not np.isnan(V[k]).any()
 
 
 def test_lyapunov_given_omega_m_takes_no_spectrum_below_the_norm_bound(monkeypatch, rng):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from optomech_bistab import steady
+from optomech_bistab import quantum, steady
 from optomech_bistab.dynamics import (
     diffusion_matrix,
     drift_from_rates,
@@ -178,6 +178,21 @@ def test_stacked_log_negativity_equals_one_matrix_calls(with_photons):
             assert repr(float(getattr(report, f)[k])) == repr(getattr(one, f)), f
         assert bool(report.validity_ok[k]) is one.validity_ok
     assert failed == 2
+
+
+def test_each_failed_row_of_a_stack_records_the_error_of_its_own_call():
+    # both checks fail: the discriminant (NaN where the determinants
+    # overflow) and nu_min^2
+    Vs = [two_mode_squeezed(0.4), _unphysical(), 1e300 * np.eye(4), 0.5 * np.eye(4)]
+    report, failed = quantum._report_rows(np.array(Vs), None)
+    assert sorted(failed) == [1, 2]
+    for k, V in enumerate(Vs):
+        try:
+            log_negativity(V)
+        except PhysicalityError as exc:
+            assert str(failed[k]) == str(exc)
+            assert math.isnan(report.e_n[k])
+    assert {str(failed[k]).split(" ")[0] for k in failed} == {"Sigma^2", "nu_min^2"}
 
 
 def test_validity_flag_thresholds():
