@@ -116,8 +116,8 @@ def _report_rows(V: np.ndarray, photons) -> tuple:
     """The report of ``log_negativity`` on a stack (N, 4, 4), and the
     error of each failed row by row index, the discriminant tested first:
     the error its one-matrix call raises. The logarithm is taken per
-    element through ``math``: ``np.log`` differs from it in the last bit
-    of about 1% of values."""
+    element through ``math``, whose bits the CSV bodies carry: ``np.log``
+    differs from it in the last bit of about 1% of values."""
     # overflowing determinants give a NaN disc, rejected below
     with np.errstate(over="ignore", invalid="ignore"):
         det_a, det_b, det_c = np.linalg.det(split_blocks(V))  # one call

@@ -181,8 +181,8 @@ def test_stacked_log_negativity_equals_one_matrix_calls(with_photons):
 
 
 def test_each_failed_row_of_a_stack_records_the_error_of_its_own_call():
-    # both checks fail: the discriminant (NaN where the determinants
-    # overflow) and nu_min^2
+    # each check fails one row: nu_min^2, and the discriminant (NaN where
+    # the determinants overflow)
     Vs = [two_mode_squeezed(0.4), _unphysical(), 1e300 * np.eye(4), 0.5 * np.eye(4)]
     report, failed = quantum._report_rows(np.array(Vs), None)
     assert sorted(failed) == [1, 2]
