@@ -2,11 +2,13 @@
 
 A file is one line naming the package version and a timestamp, one
 ``# key=value`` line per meta entry in sorted key order, the column header
-and one line per row. Cells are not quoted: floats as ``repr``, bools
-(numpy's too) as 1/0, None and NaN as NaN, strings verbatim. Rows are
-written in blocks of ``_BLOCK_ROWS``, each block's lines joined at once; a
-float64 array is formatted a block at a time, by one ``repr`` of the
-block's list, so that one block of it is alive as Python floats.
+and one line per row. Columns are the 1-D numpy arrays tables build:
+float64, cells as ``repr`` and NaN as NaN, or bool, str and object
+arrays of str, True, False and None cells, as is, 1, 0 and NaN; cells
+are not quoted. Rows are written in blocks of ``_BLOCK_ROWS``, each
+block's lines joined at once; a float64 array is formatted a block at a
+time, by one ``repr`` of the block's list, so that one block of it is
+alive as Python floats.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover
     from .harness import SweepResult
 
-# cell text of None and the bools; numpy's bools hash and compare alike
+# cell text of None and the bools
 _WORDS = {None: "NaN", True: "1", False: "0"}
 
 # rows formatted and written at once. The text of a block's cells is held
@@ -30,29 +32,26 @@ _WORDS = {None: "NaN", True: "1", False: "0"}
 _BLOCK_ROWS = 512
 
 
-def _word(value) -> str:
-    """A cell the loop of ``_column_cells`` does not write inline: numpy
-    bools as 1/0, str subclasses verbatim, numbers as repr(float), NaN as NaN."""
-    if isinstance(value, np.bool_):
-        return _WORDS[value]
-    if isinstance(value, str):
-        return str.__str__(value)
-    return repr(float(value)).replace("nan", "NaN")
-
-
 def _column_cells(name: str, values):
     """CSV cells of one column, as a function of a slice of rows: a float64
     array one slice at a time (a float's repr holds no comma or line break),
-    any other column a value at a time, at once, checked here for text that
-    cannot go unquoted."""
-    if isinstance(values, np.ndarray):
-        if values.dtype == np.float64:
-            return lambda rows: repr(values[rows].tolist())[1:-1] \
-                .replace("nan", "NaN").split(", ")
-        values = values.tolist()
+    any other array at once, checked here for a cell that is not a str, a
+    bool or None, and for text that cannot go unquoted."""
+    if not isinstance(values, np.ndarray) or values.ndim != 1 or \
+            values.dtype != np.float64 and values.dtype.kind not in "bUO":
+        raise ValueError(f"write_csv: column {name!r} is not a 1-D float64, "
+                         "bool, str or object array")
+    if values.dtype == np.float64:
+        return lambda rows: repr(values[rows].tolist())[1:-1] \
+            .replace("nan", "NaN").split(", ")
+    # 1.0 == True: an object cell that is a number fails the join, not _WORDS
     cells = [v if type(v) is str else _WORDS[v] if v is None or type(v) is bool
-             else _word(v) for v in values]
-    joined = "".join(cells)
+             else v for v in values.tolist()]
+    try:
+        joined = "".join(cells)
+    except TypeError:
+        raise ValueError(f"write_csv: column {name!r} holds a cell that is "
+                         "not a str, a bool or None") from None
     if "," in joined or "\n" in joined or "\r" in joined:
         raise ValueError(f"write_csv: column {name!r} holds a comma or a "
                          "line break, which is not quoted")
@@ -62,18 +61,19 @@ def _column_cells(name: str, values):
 def write_csv(result: SweepResult, path, version: str,
               timestamp: str | None = None) -> Path:
     """Write a sweep result; only the first (timestamp) line varies
-    between identical runs. Cells are not quoted: a string cell holding a
-    comma or a line break raises ValueError naming its column, as do
-    columns of unequal length. A rejected result touches no file."""
+    between identical runs. A column of another type or dtype, an object
+    cell that is not a str, a bool or None, a string cell holding a comma
+    or a line break and columns of unequal length raise ValueError naming
+    the columns. A rejected result touches no file."""
     path = Path(path)
     if timestamp is None:
         timestamp = datetime.datetime.now(datetime.timezone.utc) \
             .strftime("%Y-%m-%dT%H:%M:%SZ")
+    columns = [_column_cells(name, values)
+               for name, values in result.columns.items()]
     lengths = {name: len(values) for name, values in result.columns.items()}
     if len(set(lengths.values())) > 1:
         raise ValueError(f"write_csv: columns of unequal length {lengths}")
-    columns = [_column_cells(name, values)
-               for name, values in result.columns.items()]
     head = [f"# optomech-bistab v{version} {timestamp}"]
     head += [f"# {key}={result.meta[key]}" for key in sorted(result.meta)]
     head.append(",".join(result.columns))

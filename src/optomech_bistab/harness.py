@@ -116,8 +116,8 @@ class SweepResult:
     1-D array of its values, one per row: float64 numbers (NaN for none),
     bool flags, str branch labels, and object arrays of str for
     ``status`` and of True, False or None for ``validity_ok``, whatever
-    the sweep family. ``meta`` holds the ``#`` lines. ``write_csv`` also
-    takes lists."""
+    the sweep family. ``meta`` holds the ``#`` lines. ``write_csv`` takes
+    these columns only: no list, no other dtype, no other object cell."""
 
     columns: dict[str, np.ndarray]
     meta: dict = field(default_factory=dict)
@@ -222,8 +222,9 @@ def _chain_columns(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
     its marginal verdicts from the Hurwitz conditions too, and spectra
     only of drift matrices at or above the norm bound of the solve. Its
     masks give the statuses: an unphysical covariance is
-    ``error:PhysicalityError``, a failed Lyapunov solve ``conditioning``.
-    Any exception of the chain propagates.
+    ``error:PhysicalityError``, a failed Lyapunov solve ``conditioning``;
+    its report, of the rows neither mask holds, goes to those rows. Any
+    exception of the chain propagates.
     """
     n = len(delta)
     row = {name: np.full(n, math.nan) for name in _COVARIANCE_COLUMNS}
@@ -234,71 +235,63 @@ def _chain_columns(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
         r = live[start:start + _CHUNK_ROWS]
         marginal, conditioning, report = quantum.covariance_rows(
             delta[r], G[r], photons[r], ModelParams(*(field[r] for field in model)))
-        ok = ~np.isnan(report.e_n)
-        row["status"][r[~ok]] = f"{STATUS_ERROR}:{PhysicalityError.__name__}"
+        solved, ok = r[~(marginal | conditioning)], ~np.isnan(report.e_n)
+        row["status"][solved[~ok]] = f"{STATUS_ERROR}:{PhysicalityError.__name__}"
         row["status"][r[conditioning]] = STATUS_CONDITIONING
         row["status"][r[marginal]] = STATUS_MARGINAL
         for name, attr in _COVARIANCE_COLUMNS.items():
-            row[name][r[ok]] = getattr(report, attr)[ok]
+            row[name][solved[ok]] = getattr(report, attr)[ok]
     row["status"][~stable] = STATUS_UNSTABLE
     row["status"][degenerate] = STATUS_DEGENERATE
     return row
 
 
-def _theoretical_table(mp: ModelParams, axes: tuple) -> tuple:
-    """The root table of a theoretical sweep, one synthetic root per cell,
-    its picked roots (all of them) and the per-row model arrays.
-
-    ``axes[k]`` is dimension k of the grid (its C order is the cell
-    order). One ``steady.synthetic_points`` call gives every cell's
-    working point, at the model's bare detuning where no
-    effective_detuning axis is swept.
-    """
+def _theoretical_table(mp: ModelParams, axes: tuple, n: int) -> tuple:
+    """The root table of a theoretical sweep, one synthetic root per cell
+    of its ``n`` cells (``axes[k]`` on dimension k, C order), its picked
+    roots (all of them) and its grid model, ``mp``. One
+    ``steady.synthetic_points`` call gives every cell's working point, at
+    the model's bare detuning where no effective_detuning axis is swept."""
     cells = dict(zip((axis.name for axis in axes), (v.ravel() for v in np.meshgrid(
         *(np.array(axis.values, dtype=float) for axis in axes), indexing="ij"))))
-    n = math.prod(len(axis.values) for axis in axes)
     t = steady.synthetic_points(
         mp, cells.get("effective_detuning", np.full(n, mp.delta0)),
         G=cells.get("coupling"), eta=cells.get("eta"))
-    return t, t.model, [np.full(n, v, dtype=float) for v in vars(mp).values()]
+    return t, t.model, mp
 
 
-def _experimental_table(spec: SweepSpec, mp: ModelParams, axes: tuple) -> tuple:
-    """The root table of an experimental sweep, its picked roots and the
-    per-row model arrays.
-
-    One grid model, ``axes[k]`` on dimension k (its C order is the cell
-    order), and its root table give the steady-state fields. A model's
-    roots are contiguous and ascending, so the branch pick is an index per
-    model, and each row's model is the grid's fields, broadcast and picked.
-    """
-    shape = tuple(len(axis.values) for axis in axes)
+def _experimental_table(spec: SweepSpec, axes: tuple) -> tuple:
+    """The root table of an experimental sweep's grid model, ``axes[k]``
+    on dimension k (its C order is the cell order), the roots its branch
+    picks (``steady.branch_roots``) and the grid model."""
     grid = derive_model(replace(spec.base, **dict(zip(
         (_AXES[a.name].field for a in axes), np.ix_(*(a.values for a in axes))))))
     t = steady.root_table(grid)
-    roots = steady.branch_roots(t, spec.branch)
-    return t, roots, [np.broadcast_to(v, shape).ravel()[t.model[roots]]
-                      for v in vars(grid).values()]
+    return t, steady.branch_roots(t, spec.branch), grid
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
     """Run the pipeline over the grid; row order is axis2-major, then
     axis1, then branch. Deterministic for a given spec.
 
-    Both families give a root table, its picked roots and their models;
-    ``_chain_columns`` runs the covariance chain of the picked roots' live
-    rows (the stable, non-degenerate ones), which takes no spectrum below
-    the norm bound of the Lyapunov solve. It builds no ``WorkingPoint``;
-    an exception of the stacked chain propagates.
+    Both families give a root table, its picked roots and a grid model,
+    whose fields broadcast to the grid and picked at each root's cell give
+    the rows' models. ``_chain_columns`` runs the covariance chain of the
+    picked roots' live rows (the stable, non-degenerate ones), which takes
+    no spectrum below the norm bound of the Lyapunov solve. It builds no
+    ``WorkingPoint``; an exception of the stacked chain propagates.
     """
     mp = spec.base if isinstance(spec.base, ModelParams) else derive_model(spec.base)
     validate_spec(spec)
     axes = (spec.axis1,) if spec.axis2 is None else (spec.axis2, spec.axis1)
-    t, roots, model = (_theoretical_table(mp, axes) if axes[0].name in THEORETICAL_AXES
-                       else _experimental_table(spec, mp, axes))
+    shape = tuple(len(axis.values) for axis in axes)
+    t, roots, grid = (_theoretical_table(mp, axes, math.prod(shape))
+                      if axes[0].name in THEORETICAL_AXES
+                      else _experimental_table(spec, axes))
+    cell = t.model[roots]
+    model = [np.full(shape, v, dtype=float).ravel()[cell] for v in vars(grid).values()]
     columns = {}
-    for axis, index in zip(axes, np.unravel_index(
-            t.model[roots], tuple(len(axis.values) for axis in axes))):
+    for axis, index in zip(axes, np.unravel_index(cell, shape)):
         column, _, rate, _ = _AXES[axis.name]
         values = np.array(axis.values, dtype=float)[index]
         columns[column] = values / mp.omega_m if rate else values
@@ -334,12 +327,11 @@ def linear_grid(lo: float, hi: float, n: int) -> tuple[float, ...]:
 def _hysteresis_rows(trace: steady.HysteresisTrace,
                      mp: ModelParams) -> SweepResult:
     t = trace.table
-    # a model's roots are contiguous: the up-sweep is on its first root,
-    # the down-sweep on its last
-    end, index = np.cumsum(t.count)[t.model], np.arange(len(t.model))
+    # the up-sweep is on each power's first root, the down-sweep on its last
+    up, down = (np.bincount(steady.branch_roots(t, branch), minlength=len(t.model)) > 0
+                for branch in ("lower", "upper"))
     columns = {"P_in_W": np.array(trace.powers)[t.model], **_point_fields(t, mp),
-               "on_up_sweep": index == end - t.count[t.model],
-               "on_down_sweep": index == end - 1}
+               "on_up_sweep": up, "on_down_sweep": down}
     meta = {
         "switch_up_W": "NaN" if trace.switch_up is None else repr(trace.switch_up),
         "switch_down_W": "NaN" if trace.switch_down is None else repr(trace.switch_down),

@@ -119,7 +119,8 @@ def thermal_phonons(omega_m: float, temperature: float) -> float:
     """Bose occupation 1/(exp(hbar*w/kB*T) - 1); exactly 0 at T = 0. An
     array of temperatures gives an array, through math.expm1 per value.
     Where exp overflows (hbar*w/kB*T above ~709.8), the occupation is its
-    limit exp(-hbar*w/kB*T), subnormal or 0."""
+    limit exp(-hbar*w/kB*T), subnormal or 0; where hbar*w/kB*T underflows
+    to 0, a ValidationError names omega_m and temperature."""
     if isinstance(temperature, np.ndarray):
         return np.reshape([thermal_phonons(omega_m, t) for t in
                            temperature.ravel().tolist()], temperature.shape)
@@ -127,6 +128,8 @@ def thermal_phonons(omega_m: float, temperature: float) -> float:
     if kT == 0.0:  # T = 0, or so cold that kB*T underflows
         return 0.0
     x = _HBAR * omega_m / kT
+    _require(x > 0, "omega_m, temperature",
+             "out of range, hbar*omega_m/(kB*temperature) underflows to 0")
     try:
         return 1.0 / math.expm1(x)
     except OverflowError:

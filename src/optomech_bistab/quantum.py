@@ -163,17 +163,19 @@ def covariance_rows(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
     rows (``dynamics.is_marginal``: decay rate at most
     MARGINAL_DECAY_FRACTION * omega_m), the mask of rows whose Lyapunov
     solve (``dynamics.solve_lyapunov`` given omega_m) raises alone, and
-    the stacked report, which is NaN on both masks and where the
-    covariance is not physical. No row takes a spectrum save those at or
-    above the solve's norm bound. Every row is bit-identical to the chain
-    on that row alone.
+    the stacked report of the other rows, the solved ones, in row order,
+    NaN where the covariance is not physical. No row takes a spectrum save
+    those at or above the solve's norm bound. Every row is bit-identical
+    to the chain on that row alone.
     """
     A = drift_from_rates(delta, G, mp.kappa, mp.omega_m, mp.gamma_m)
     marginal = is_marginal(delta, G, mp.kappa, mp.omega_m, mp.gamma_m)
     live = ~marginal
-    V = np.full(A.shape, np.nan)
-    V[live] = solve_lyapunov(A[live], diffusion_matrix(mp)[live], mp.omega_m[live])
-    return marginal, live & np.isnan(V[:, 0, 0]), log_negativity(V, photons)
+    V = solve_lyapunov(A[live], diffusion_matrix(mp)[live], mp.omega_m[live])
+    solved = ~np.isnan(V[:, 0, 0])
+    conditioning = live.copy()
+    conditioning[live] = ~solved
+    return marginal, conditioning, log_negativity(V[solved], photons[live][solved])
 
 
 def approx_phonons(delta: float, kappa: float, omega_m: float,

@@ -3,9 +3,13 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import optomech_bistab
 from optomech_bistab import __version__, dynamics, harness
@@ -359,9 +363,10 @@ def test_overflowing_inputs_exit_2(tmp_path, capsys, edit, command, name):
     assert "Warning" not in err
 
 
-# inputs whose derived mass*omega_m or decay rate kappa is 0 in double
-# precision: each must end in exit 2 naming the inputs, never in a
-# traceback. All but the first derive kappa from the finesse and the length
+# inputs whose derived mass*omega_m, decay rate kappa or hbar*omega_m/kB*T
+# is 0 in double precision: each must end in exit 2 naming the inputs,
+# never in a traceback. The second to fourth derive kappa from the finesse
+# and the length
 DERIVED_ZERO_PROBES = [
     ("mech_freq = 5e-324", ["steady"], "mass, omega_m", CONFIG),
     # 2*finesse*cavity_length underflows to 0
@@ -372,6 +377,8 @@ DERIVED_ZERO_PROBES = [
      "cavity_length, finesse", CONFIG_DERIVED_KAPPA),
     ("cavity_length_m = 1e308", ["figure", "fig2", "--grid", "7"],
      "cavity_length, finesse", CONFIG_DERIVED_KAPPA),
+    ("temperature_K = 1e308", ["steady"], "omega_m, temperature",
+     CONFIG.replace("mech_freq = 1e7", "mech_freq = 1e-15")),
 ]
 
 
@@ -393,3 +400,75 @@ def test_overflowing_covariance_is_never_ok(tmp_path):
     assert rows
     assert {r[header.index("status")] for r in rows} == \
         {"error:PhysicalityError"}
+
+
+# --- the CLI's edges, fuzzed ---------------------------------------------------
+
+# key -> value of every line of CONFIG
+_CONFIG_VALUES = dict(re.findall(r"^(\w+) = (\S+)$", CONFIG, flags=re.M))
+
+# values a config key is set to besides its own moved by up to 40 decades
+# or negated
+_EDGE_VALUES = (0.0, -0.0, 5e-324, 1e308, math.inf, math.nan)
+
+# every subcommand, at small grids
+_FUZZED_COMMANDS = [
+    ["steady"], ["optima"],
+    *(["figure", fig, "--grid", "3"] for fig in harness.FIGURE_IDS),
+    *(["sweep", "--grid", "3", *axes] for axes in (
+        ["--axis1", "power=0.01:0.1"],
+        ["--branch", "all", "--axis1", "power=0.01:0.1"],
+        ["--axis1", "temperature=0.1:10"],
+        ["--axis1", "power=0.01:0.1", "--axis2", "bare_detuning=0.5:4"],
+        ["--axis1", "eta=0.1:1", "--axis2", "effective_detuning=0.5:3"],
+        ["--axis1", "coupling=0.1:1", "--axis2", "effective_detuning=0.5:3"])),
+]
+
+
+@st.composite
+def _config_edits(draw) -> dict:
+    """One to three numeric config keys, each set to an edge value or to
+    its CONFIG value moved by up to 40 decades or negated."""
+    keys = draw(st.lists(st.sampled_from(sorted(
+        k for k in _CONFIG_VALUES if k != "freq_convention")),
+        min_size=1, max_size=3, unique=True))
+    edits = {}
+    for key in keys:
+        value = float(_CONFIG_VALUES[key])
+        edits[key] = draw(st.sampled_from(_EDGE_VALUES) | st.just(-value)
+                          | st.integers(-40, 40).map(lambda d: value * 10.0 ** d))
+    return edits
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(edits=_config_edits(), derived_kappa=st.booleans(),
+       command=st.sampled_from(_FUZZED_COMMANDS))
+# the configs that once ended in a traceback (DERIVED_ZERO_PROBES)
+@example(edits={"mech_freq": 5e-324}, derived_kappa=False, command=["steady"])
+@example(edits={"finesse": 5e-324}, derived_kappa=True,
+         command=["figure", "fig6", "--grid", "3"])
+@example(edits={"finesse": 1e308}, derived_kappa=True,
+         command=["figure", "fig4", "--grid", "5"])
+@example(edits={"cavity_length_m": 1e308}, derived_kappa=True,
+         command=["figure", "fig2", "--grid", "7"])
+@example(edits={"wavelength_m": 8.1e15, "mech_freq": 1e-15, "temperature_K": 1e308},
+         derived_kappa=True, command=["figure", "fig3b", "--grid", "3"])
+def test_no_config_ends_in_a_traceback(edits, derived_kappa, command):
+    # derived_kappa drops kappa_override, so that kappa comes from the
+    # finesse and the length
+    values = {**_CONFIG_VALUES, **{key: repr(v) for key, v in edits.items()}}
+    if derived_kappa:
+        del values["kappa_override"]
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = Path(tmp) / "edge.cfg"
+        config.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        code = main(command + ["--config", str(config)]
+                    + ([] if command[0] == "optima" else ["--out", tmp]))
+        assert code in (0, 2, 3)
+        for csv in Path(tmp).glob("*.csv"):
+            lines = [l for l in csv.read_text().splitlines() if not l.startswith("#")]
+            header = lines[0].split(",")
+            if "status" in header:
+                assert {l.split(",")[header.index("status")] for l in lines[1:]} \
+                    <= STATUSES | {f"{harness.STATUS_ERROR}:PhysicalityError"}

@@ -195,6 +195,41 @@ def test_each_failed_row_of_a_stack_records_the_error_of_its_own_call():
     assert {str(failed[k]).split(" ")[0] for k in failed} == {"Sigma^2", "nu_min^2"}
 
 
+def test_the_report_takes_only_the_rows_the_chain_solved(monkeypatch, default_model):
+    # rows 0-2: undriven, of the default model damped to gamma_m = 0.1 rad/s,
+    # so marginal; row 4's solve fails; rows 3 and 5 are solved. The report
+    # receives rows 3 and 5 only, and holds them in row order
+    report_rows, stacks = quantum._report_rows, []
+
+    def recording(V, photons):
+        stacks.append(V)
+        return report_rows(V, photons)
+
+    def failing_row_4(A, D, omega_m):
+        V = solve_lyapunov(A, D, omega_m)
+        V[1] = np.nan  # the second live row
+        return V
+
+    monkeypatch.setattr(quantum, "_report_rows", recording)
+    monkeypatch.setattr(quantum, "solve_lyapunov", failing_row_4)
+    w = default_model.omega_m
+    mp = ModelParams(*(np.full(6, v, dtype=float)
+                       for v in vars(default_model).values()))
+    mp.gamma_m[:] = 0.1
+    delta = np.full(6, default_model.delta0)
+    G = np.array([0.0, 0.0, 0.0, 0.3, 0.4, 0.5]) * w
+    photons = np.array([0.0, 0.0, 0.0, 1e3, 2e3, 1e4])
+    marginal, conditioning, report = quantum.covariance_rows(delta, G, photons, mp)
+    assert marginal.tolist() == [True] * 3 + [False] * 3
+    assert conditioning.tolist() == [False] * 4 + [True, False]
+    assert [len(V) for V in stacks] == [2] and not np.isnan(stacks[0]).any()
+    for k, r in enumerate((3, 5)):
+        V = solve_lyapunov(drift_from_rates(delta[r], G[r], mp.kappa[r], w, 0.1),
+                           diffusion_matrix(ModelParams(*(f[r] for f in vars(mp).values()))),
+                           w)
+        assert report.e_n[k] == log_negativity(V, photons=photons[r]).e_n
+
+
 def test_validity_flag_thresholds():
     V = two_mode_squeezed(0.3)
     n_o = occupancies(V)[1]
