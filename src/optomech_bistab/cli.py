@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Commands: steady, sweep, figure <id>, optima. Exit codes: 0 on success,
-2 on validation/usage errors, 3 on numerical failure.
+2 on validation/usage errors. A failed working point is a CSV status row;
+any other exception is a defect and ends in a traceback.
 """
 
 from __future__ import annotations
@@ -11,21 +12,11 @@ import sys
 from pathlib import Path
 
 from . import __version__, harness, quantum
-from .errors import (
-    IllConditionedError,
-    IntegrationError,
-    PhysicalityError,
-    UnstableSystemError,
-    ValidationError,
-)
+from .errors import ValidationError
 from .params import default_params, derive_model, load_config
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
-EXIT_NUMERICAL = 3
-
-_NUMERICAL_ERRORS = (UnstableSystemError, IllConditionedError,
-                     IntegrationError, PhysicalityError)
 
 
 def _parse_axis(text: str, n_default: int,
@@ -162,9 +153,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

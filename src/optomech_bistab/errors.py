@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps ValidationError to exit code 2 and the numerical failures
-to exit code 3.
+The CLI maps ValidationError to exit code 2. Sweeps record the numerical
+failures as row statuses; the one-matrix calls and the ODE oracle raise them.
 """
 
 

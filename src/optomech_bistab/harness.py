@@ -29,7 +29,7 @@ import numpy as np
 
 from . import quantum, steady
 from .csvfile import write_csv
-from .errors import PhysicalityError, ValidationError
+from .errors import ValidationError
 from .params import (
     ModelParams,
     PhysicalParams,
@@ -82,12 +82,13 @@ FIGURE_IDS = ("fig2", "fig3a", "fig3b", "fig4", "fig5a", "fig5b", "fig6")
 # panel -> the panel that runs the identical sweep (byte-identical CSV body)
 SAME_SWEEP_AS = {"fig3b": "fig3a", "fig5b": "fig5a"}
 
+# the six statuses a row can get (``_chain_columns``), a closed set
 STATUS_OK = "ok"
 STATUS_UNSTABLE = "unstable"
 STATUS_MARGINAL = "marginal"
 STATUS_CONDITIONING = "conditioning"
 STATUS_DEGENERATE = "degenerate"
-STATUS_ERROR = "error"
+STATUS_UNPHYSICAL = "error:PhysicalityError"
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,7 @@ def _chain_columns(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
         marginal, conditioning, report = quantum.covariance_rows(
             delta[r], G[r], photons[r], ModelParams(*(field[r] for field in model)))
         solved, ok = r[~(marginal | conditioning)], ~np.isnan(report.e_n)
-        row["status"][solved[~ok]] = f"{STATUS_ERROR}:{PhysicalityError.__name__}"
+        row["status"][solved[~ok]] = STATUS_UNPHYSICAL
         row["status"][r[conditioning]] = STATUS_CONDITIONING
         row["status"][r[marginal]] = STATUS_MARGINAL
         for name, attr in _COVARIANCE_COLUMNS.items():
@@ -248,46 +249,46 @@ def _chain_columns(delta: np.ndarray, G: np.ndarray, photons: np.ndarray,
 
 def _theoretical_table(mp: ModelParams, axes: tuple, n: int) -> tuple:
     """The root table of a theoretical sweep, one synthetic root per cell
-    of its ``n`` cells (``axes[k]`` on dimension k, C order), its picked
-    roots (all of them) and its grid model, ``mp``. One
-    ``steady.synthetic_points`` call gives every cell's working point, at
-    the model's bare detuning where no effective_detuning axis is swept."""
+    of its ``n`` cells (``axes[k]`` on dimension k, C order), and its grid
+    model ``mp``: one ``steady.synthetic_points`` call, at the model's bare
+    detuning where no effective_detuning axis is swept."""
     cells = dict(zip((axis.name for axis in axes), (v.ravel() for v in np.meshgrid(
         *(np.array(axis.values, dtype=float) for axis in axes), indexing="ij"))))
     t = steady.synthetic_points(
         mp, cells.get("effective_detuning", np.full(n, mp.delta0)),
         G=cells.get("coupling"), eta=cells.get("eta"))
-    return t, t.model, mp
+    return t, mp
 
 
 def _experimental_table(spec: SweepSpec, axes: tuple) -> tuple:
     """The root table of an experimental sweep's grid model, ``axes[k]``
-    on dimension k (its C order is the cell order), the roots its branch
-    picks (``steady.branch_roots``) and the grid model."""
+    on dimension k (its C order is the cell order), and the grid model."""
     grid = derive_model(replace(spec.base, **dict(zip(
         (_AXES[a.name].field for a in axes), np.ix_(*(a.values for a in axes))))))
-    t = steady.root_table(grid)
-    return t, steady.branch_roots(t, spec.branch), grid
+    return steady.root_table(grid), grid
 
 
 def sweep(spec: SweepSpec) -> SweepResult:
     """Run the pipeline over the grid; row order is axis2-major, then
     axis1, then branch. Deterministic for a given spec.
 
-    Both families give a root table, its picked roots and a grid model,
-    whose fields broadcast to the grid and picked at each root's cell give
-    the rows' models. ``_chain_columns`` runs the covariance chain of the
-    picked roots' live rows (the stable, non-degenerate ones), which takes
-    no spectrum below the norm bound of the Lyapunov solve. It builds no
-    ``WorkingPoint``; an exception of the stacked chain propagates.
+    Both families give a root table and a grid model, whose fields
+    broadcast to the grid and picked at each root's cell give the rows'
+    models; ``steady.branch_roots`` picks the roots (all of a theoretical
+    table, one per cell, whatever the branch). ``_chain_columns`` runs the covariance chain of the picked roots' live
+    rows (the stable, non-degenerate ones), which takes no spectrum below
+    the norm bound of the Lyapunov solve. It builds no ``WorkingPoint``;
+    an exception of the stacked chain propagates.
     """
+    # the scalar derive validates the config's own fields, axes or not
     mp = spec.base if isinstance(spec.base, ModelParams) else derive_model(spec.base)
     validate_spec(spec)
     axes = (spec.axis1,) if spec.axis2 is None else (spec.axis2, spec.axis1)
     shape = tuple(len(axis.values) for axis in axes)
-    t, roots, grid = (_theoretical_table(mp, axes, math.prod(shape))
-                      if axes[0].name in THEORETICAL_AXES
-                      else _experimental_table(spec, axes))
+    t, grid = (_theoretical_table(mp, axes, math.prod(shape))
+               if axes[0].name in THEORETICAL_AXES
+               else _experimental_table(spec, axes))
+    roots = steady.branch_roots(t, spec.branch)
     cell = t.model[roots]
     model = [np.full(shape, v, dtype=float).ravel()[cell] for v in vars(grid).values()]
     columns = {}

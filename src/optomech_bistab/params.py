@@ -119,8 +119,10 @@ def thermal_phonons(omega_m: float, temperature: float) -> float:
     """Bose occupation 1/(exp(hbar*w/kB*T) - 1); exactly 0 at T = 0. An
     array of temperatures gives an array, through math.expm1 per value.
     Where exp overflows (hbar*w/kB*T above ~709.8), the occupation is its
-    limit exp(-hbar*w/kB*T), subnormal or 0; where hbar*w/kB*T underflows
-    to 0, a ValidationError names omega_m and temperature."""
+    limit exp(-hbar*w/kB*T), subnormal or 0. Where hbar*w/kB*T is
+    subnormal, 1/expm1 is inf, and where it underflows to 0 the occupation
+    is that same limit, inf: a sweep row whose Lyapunov solve takes it is
+    ``conditioning``."""
     if isinstance(temperature, np.ndarray):
         return np.reshape([thermal_phonons(omega_m, t) for t in
                            temperature.ravel().tolist()], temperature.shape)
@@ -128,10 +130,8 @@ def thermal_phonons(omega_m: float, temperature: float) -> float:
     if kT == 0.0:  # T = 0, or so cold that kB*T underflows
         return 0.0
     x = _HBAR * omega_m / kT
-    _require(x > 0, "omega_m, temperature",
-             "out of range, hbar*omega_m/(kB*temperature) underflows to 0")
     try:
-        return 1.0 / math.expm1(x)
+        return 1.0 / math.expm1(x) if x else math.inf
     except OverflowError:
         return math.exp(-x)
 
@@ -197,6 +197,8 @@ def derive_model(p: PhysicalParams) -> ModelParams:
     photon energy hbar*omega_L, the drive E or the steady-state cubic (see
     ``cubic_overflows``), and where the coupling G0, the product
     mass*omega_m or the derived decay rate kappa is 0 (``cavity_decay``).
+    A bath too hot for a finite nbar is no error: nbar is then inf
+    (``thermal_phonons``).
     Power, delta0 and temperature may be numpy arrays, checked elementwise;
     the fields then broadcast over a sweep grid, each element bit-identical
     to the scalar derivation (only + - * / sqrt).
@@ -211,7 +213,8 @@ def derive_model(p: PhysicalParams) -> ModelParams:
         else cavity_decay(p.cavity_length, p.finesse)
     _require(p.mass * p.omega_m > 0, "mass, omega_m",
              "out of range, their product mass*omega_m underflows to 0")
-    g0 = (omega_c / p.cavity_length) * math.sqrt(_HBAR / (p.mass * p.omega_m))
+    with np.errstate(over="ignore"):  # cubic_overflows or root_table names inf
+        g0 = (omega_c / p.cavity_length) * math.sqrt(_HBAR / (p.mass * p.omega_m))
     # a coupling that underflows to 0 is not a decoupled cavity
     _require(np.all((g0 != 0) | (omega_c == 0)), "cavity_length, mass, omega_m, "
              "wavelength", "out of range, the coupling G0 they give underflows to 0")

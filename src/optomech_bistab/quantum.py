@@ -268,8 +268,10 @@ def max_entanglement(kappa: float, omega_m: float) -> float:
     """Maximum achievable E_N, -ln[(1/5)*sqrt(9 + 128 k^2/(8 k^2 + 45 w^2))].
 
     Exact at kappa = 0 where it equals -ln(3/5); for kappa > 0 it tracks
-    the branch-end value at the optimal detuning to within ~2e-3.
+    the branch-end value at the optimal detuning to within ~2e-3. Taken on
+    the rates over the larger one: no square of a rate makes it 0/0 or inf/inf.
     """
-    k2 = kappa * kappa
-    w2 = omega_m * omega_m
+    scale = max(kappa, omega_m)
+    k, w = kappa / scale, omega_m / scale
+    k2, w2 = k * k, w * w
     return -math.log(0.2 * math.sqrt(9.0 + 128.0 * k2 / (8.0 * k2 + 45.0 * w2)))

@@ -374,6 +374,15 @@ def test_max_entanglement_decreases_with_kappa():
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
+def test_max_entanglement_takes_only_the_ratio_of_the_rates():
+    # rates whose squares underflow or overflow give the value at their
+    # ratio; a ratio whose square overflows gives the limit 0
+    at_ratio = max_entanglement(1.4, 1.0)
+    assert max_entanglement(1.4e-170, 1e-170) == pytest.approx(at_ratio, rel=1e-12)
+    assert max_entanglement(1.4e170, 1e170) == pytest.approx(at_ratio, rel=1e-12)
+    assert max_entanglement(1e7, 1e-200) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_entanglement_non_monotonic_in_coupling():
     # fixed effective detuning; scan the coupling toward the stability
     # boundary and look for a strictly decreasing positive pair
