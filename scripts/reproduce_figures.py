@@ -6,9 +6,9 @@ Usage:
                                         [--only FIG [FIG ...]]
 
 With no arguments this runs the bundled default parameter set at the
-default grid resolutions: about 1.4 s (1.25-1.64 s over four runs, start
+default grid resolutions: about 0.8 s (0.74-0.80 s over three runs, start
 to exit) on a shared 2-CPU Intel Xeon VM with Python 3.11, most of it in
-fig5a (0.8-1.0 s) and fig3a (0.2-0.3 s). Panels that share a sweep (``SAME_SWEEP_AS``:
+fig5a (0.4 s) and fig3a (0.1 s). Panels that share a sweep (``SAME_SWEEP_AS``:
 fig3b with fig3a, fig5b with fig5a) run it once; the second file is a
 copy of the first. Pass --grid 41 or so for a quick smoke run, and --only
 with figure ids (fig2 ... fig6) to emit just those panels.

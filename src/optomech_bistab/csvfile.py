@@ -6,9 +6,10 @@ and one line per row. Columns are the 1-D numpy arrays tables build:
 float64, cells as ``repr`` and NaN as NaN, or bool, str and object
 arrays of str, True, False and None cells, as is, 1, 0 and NaN; cells
 are not quoted. Rows are written in blocks of ``_BLOCK_ROWS``, each
-block's lines joined at once; a float64 array is formatted a block at a
-time, by one ``repr`` of the block's list, so that one block of it is
-alive as Python floats.
+block's lines joined at once from one list of cells per column: a
+float64 column is formatted a block at a time, one ``repr`` per value,
+so that one block of it is alive as Python floats and text; any other
+column is formatted whole, a bool column by one vectorised lookup.
 """
 
 from __future__ import annotations
@@ -25,11 +26,20 @@ if TYPE_CHECKING:  # pragma: no cover
 # cell text of None and the bools
 _WORDS = {None: "NaN", True: "1", False: "0"}
 
-# rows formatted and written at once. The text of a block's cells is held
-# at once: on the default fig5a grid (40,401 rows) a whole-file block
-# raised the peak resident memory from 69 to 120 MB, while 512-row blocks
-# stay within 2 MB of a row-at-a-time writer (1,024-row blocks did not)
+# rows formatted and written at once. A block is a list of cells per
+# column, all of its text held at once: on the default fig5a grid (40,401
+# rows) a whole-file block raised the peak resident memory from 69 to
+# 120 MB, while 512-row blocks stay within 2 MB of a row-at-a-time writer
+# (1,024-row blocks did not)
 _BLOCK_ROWS = 512
+
+
+def _float_cells(block: np.ndarray) -> list[str]:
+    """Cells of a float64 array: the repr of each value, NaN as NaN."""
+    cells = list(map(repr, block.tolist()))
+    for i in np.flatnonzero(np.isnan(block)).tolist():
+        cells[i] = "NaN"
+    return cells
 
 
 def _column_cells(name: str, values):
@@ -42,11 +52,16 @@ def _column_cells(name: str, values):
         raise ValueError(f"write_csv: column {name!r} is not a 1-D float64, "
                          "bool, str or object array")
     if values.dtype == np.float64:
-        return lambda rows: repr(values[rows].tolist())[1:-1] \
-            .replace("nan", "NaN").split(", ")
-    # 1.0 == True: an object cell that is a number fails the join, not _WORDS
-    cells = [v if type(v) is str else _WORDS[v] if v is None or type(v) is bool
-             else v for v in values.tolist()]
+        return lambda rows: _float_cells(values[rows])
+    if values.dtype.kind == "b":
+        return np.where(values, "1", "0").tolist().__getitem__
+    if values.dtype.kind == "U":
+        cells = values.tolist()
+    else:
+        # 1.0 == True: an object cell that is a number fails the join, not
+        # _WORDS
+        cells = [v if type(v) is str else _WORDS[v] if v is None or type(v) is bool
+                 else v for v in values.tolist()]
     try:
         joined = "".join(cells)
     except TypeError:

@@ -258,10 +258,12 @@ def classify_regime(coeffs: AsymptoticCoeffs) -> int:
 def optimal_entanglement_detuning(kappa: float, omega_m: float) -> float:
     """Detuning maximizing the branch-end entanglement alpha.
 
-    (omega_m/4) * sqrt(1 + sqrt(16*(kappa/omega_m)^2 + 81)).
+    (omega_m/4) * sqrt(1 + sqrt(16*(kappa/omega_m)^2 + 81)); the inner root
+    is ``math.hypot``, which squares no ratio, so that it stays finite for
+    kappa/omega_m up to ~4e307.
     """
     ratio = kappa / omega_m
-    return 0.25 * omega_m * math.sqrt(1.0 + math.sqrt(16.0 * ratio * ratio + 81.0))
+    return 0.25 * omega_m * math.sqrt(1.0 + math.hypot(4.0 * ratio, 9.0))
 
 
 def max_entanglement(kappa: float, omega_m: float) -> float:
@@ -270,8 +272,9 @@ def max_entanglement(kappa: float, omega_m: float) -> float:
     Exact at kappa = 0 where it equals -ln(3/5); for kappa > 0 it tracks
     the branch-end value at the optimal detuning to within ~2e-3. Taken on
     the rates over the larger one: no square of a rate makes it 0/0 or inf/inf.
+    Where the logarithm is 0 (kappa >> omega_m) it returns +0.0, not -0.0.
     """
     scale = max(kappa, omega_m)
     k, w = kappa / scale, omega_m / scale
     k2, w2 = k * k, w * w
-    return -math.log(0.2 * math.sqrt(9.0 + 128.0 * k2 / (8.0 * k2 + 45.0 * w2)))
+    return 0.0 - math.log(0.2 * math.sqrt(9.0 + 128.0 * k2 / (8.0 * k2 + 45.0 * w2)))

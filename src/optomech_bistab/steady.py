@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -93,18 +94,18 @@ def bistability_parameter(delta: float, G: float, kappa: float,
     return 1.0 - G * G * delta / (omega_m * (kappa * kappa + delta * delta))
 
 
-# Only + - * / sqrt abs run as numpy array operations, which round exactly
-# like their scalar counterparts. acos, cos and the powers go through
-# ``math`` and float ``**`` one element at a time: numpy's vectorised
-# versions of these may differ from libm in the last bit.
+# Only + - * / sqrt abs copysign run as numpy array operations, which round
+# exactly like their scalar counterparts. acos, cos and the powers go
+# through ``math`` and the builtin ``pow`` one element at a time: numpy's
+# vectorised versions of these may differ from libm in the last bit.
 
 def _pow3(x: np.ndarray) -> np.ndarray:
-    return np.array([v ** 3 for v in x.tolist()], dtype=float)
+    return np.fromiter(map(pow, x.tolist(), repeat(3)), float, len(x))
 
 
 def _cbrt(x: np.ndarray) -> np.ndarray:
-    return np.array([math.copysign(abs(v) ** (1.0 / 3.0), v)
-                     for v in x.tolist()], dtype=float)
+    roots = map(pow, np.abs(x).tolist(), repeat(1.0 / 3.0))
+    return np.copysign(np.fromiter(roots, float, len(x)), x)
 
 
 # rotations of the trigonometric solution, one per root
@@ -461,22 +462,24 @@ def hysteresis(mp: ModelParams, powers, omega_L: float) -> HysteresisTrace:
     solve over the drive amplitudes of the grid gives the root table the
     trace holds. Where the root count changes between grid points, the
     switch power is the exact turning-point power of
-    ``bistable_window_estimate``.
+    ``bistable_window_estimate``. ``powers`` is an iterable of numbers; a
+    grid that is empty, not finite, negative or not strictly increasing is
+    a ValidationError, checked in that order on the whole grid.
     """
-    powers = [float(p) for p in powers]
-    if not powers:
+    powers = np.fromiter(powers, float)
+    if not len(powers):
         raise ValidationError("powers: grid must be non-empty")
-    if not all(map(math.isfinite, powers)):
+    if not np.all(np.isfinite(powers)):
         raise ValidationError("powers: grid values must be finite")
-    if any(p < 0 for p in powers):
+    if np.any(powers < 0):
         raise ValidationError("powers: grid values must be non-negative")
-    if any(b <= a for a, b in zip(powers, powers[1:])):
+    if np.any(powers[1:] <= powers[:-1]):
         raise ValidationError("powers: grid must be strictly increasing")
     for name, value in (("omega_L", omega_L), ("kappa", mp.kappa)):
         if not (math.isfinite(value) and value > 0):
             raise ValidationError(f"{name}: must be finite and positive")
 
-    E = drive_amplitude(np.array(powers), mp.kappa, omega_L)
+    E = drive_amplitude(powers, mp.kappa, omega_L)
     table = root_table(replace(mp, E=E))
 
     # going up in power, the root count steps up to 3 where the upper
@@ -484,6 +487,6 @@ def hysteresis(mp: ModelParams, powers, omega_L: float) -> HysteresisTrace:
     three = table.count == 3
     p_down, p_up = bistable_window_estimate(mp, omega_L) or (None, None)
     return HysteresisTrace(
-        powers=tuple(powers), table=table,
+        powers=tuple(powers.tolist()), table=table,
         switch_up=p_up if np.any(three[:-1] & ~three[1:]) else None,
         switch_down=p_down if np.any(~three[:-1] & three[1:]) else None)

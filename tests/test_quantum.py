@@ -383,6 +383,21 @@ def test_max_entanglement_takes_only_the_ratio_of_the_rates():
     assert max_entanglement(1e7, 1e-200) == pytest.approx(0.0, abs=1e-12)
 
 
+def test_max_entanglement_is_positive_zero_in_the_bad_cavity_limit():
+    # where the logarithm is 0 the value is +0.0, so that optima prints
+    # 0.000000 and not -0.000000
+    assert math.copysign(1.0, max_entanglement(1e7, 1e-200)) == 1.0
+
+
+@pytest.mark.parametrize("ratio", [1e154, 1e207, 1e307])
+def test_optimal_entanglement_detuning_stays_finite_at_extreme_ratios(ratio):
+    # for kappa >> omega_m the optimum tends to 0.5*sqrt(kappa/omega_m)*omega_m;
+    # a squared ratio would overflow above ~1.3e154
+    omega_m = 1e7 / ratio
+    assert optimal_entanglement_detuning(1e7, omega_m) \
+        == pytest.approx(0.5 * math.sqrt(ratio) * omega_m, rel=1e-12)
+
+
 def test_entanglement_non_monotonic_in_coupling():
     # fixed effective detuning; scan the coupling toward the stability
     # boundary and look for a strictly decreasing positive pair

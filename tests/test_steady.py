@@ -12,6 +12,7 @@ from optomech_bistab import dynamics
 from optomech_bistab.errors import ValidationError
 from optomech_bistab.params import (
     ModelParams,
+    cubic_overflows,
     default_params,
     derive_model,
     drive_amplitude,
@@ -19,7 +20,9 @@ from optomech_bistab.params import (
 )
 from optomech_bistab.steady import (
     WorkingPoint,
+    _cbrt,
     _cubic_roots,
+    _pow3,
     _working_points,
     bistability_parameter,
     bistable_window_estimate,
@@ -163,6 +166,50 @@ def test_cubic_double_root():
         *np.array([[1.0], [0.0], [-3.0], [2.0]]))
     assert degenerate
     assert roots[:count] == pytest.approx([-2.0, 1.0], abs=1e-9)
+
+
+# the largest float whose cube is finite: cubic_overflows lets through a
+# cubic whose coefficient (kappa^2 + delta0^2)/G0^2 is below it, and
+# _cubic_roots cubes no larger value
+_CUBE_MAX = 5.643803094122361e+102
+
+# signed zeros, the smallest and largest subnormals, the smallest normal
+_TINY_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+                -2.225073858507201e-308, 2.2250738585072014e-308, -1e-310]
+
+
+def _bits(values) -> list[int]:
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+def test_cube_max_is_the_edge_of_cubic_overflows():
+    assert math.isfinite(_CUBE_MAX ** 3)
+    with pytest.raises(OverflowError):
+        math.nextafter(_CUBE_MAX, math.inf) ** 3
+    below, above = (math.sqrt(f * _CUBE_MAX) for f in (0.5, 2.0))
+    coupling, _ = cubic_overflows([below, above], 1.0, 1.0, 0.0, 1.0)
+    assert coupling.tolist() == [False, True]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-_CUBE_MAX, _CUBE_MAX, allow_subnormal=True),
+                max_size=12))
+@example(_TINY_FLOATS + [_CUBE_MAX, -_CUBE_MAX, 1.0, -1.0, 3.0, -0.5])
+@example([])
+def test_pow3_is_the_per_element_power(values):
+    assert _bits(_pow3(np.array(values, dtype=float))) \
+        == _bits([v ** 3 for v in values])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                          allow_subnormal=True), max_size=12))
+@example(_TINY_FLOATS + [1.7976931348623157e308, -1.7976931348623157e308,
+                         8.0, -8.0, -27.0, 1e-300])
+@example([])
+def test_cbrt_is_the_per_element_root(values):
+    assert _bits(_cbrt(np.array(values, dtype=float))) \
+        == _bits([math.copysign(abs(v) ** (1 / 3), v) for v in values])
 
 
 # --- bistability parameter --------------------------------------------------
@@ -382,6 +429,31 @@ def test_hysteresis_validation(default_model, default_physical):
         hysteresis(default_model, [0.02, 0.01], omega_L)
     with pytest.raises(ValidationError, match="non-negative"):
         hysteresis(default_model, [-0.01, 0.02], omega_L)
+    # a grid failing several checks names the first, in the order
+    # non-empty, finite, non-negative, increasing
+    for powers, message in (([math.nan, -1.0], "finite"),
+                            ([-1.0, math.inf], "finite"),
+                            ([0.02, -0.01], "non-negative"),
+                            ([-0.01, -0.02], "non-negative")):
+        with pytest.raises(ValidationError, match=f"powers: grid.*{message}"):
+            hysteresis(default_model, powers, omega_L)
+
+
+def test_hysteresis_takes_a_list_a_tuple_or_an_array(default_model,
+                                                     default_physical):
+    omega_L = laser_frequency(default_physical.wavelength)
+    p_down, p_up = bistable_window_estimate(default_model, omega_L)
+    powers = np.linspace(0.5 * p_down, 1.2 * p_up, 40)
+    traces = [hysteresis(default_model, kind(powers), omega_L)
+              for kind in (list, tuple, np.asarray)]
+    for trace in traces:
+        assert trace.powers == tuple(powers.tolist())
+        assert all(type(p) is float for p in trace.powers)
+        assert (trace.switch_up, trace.switch_down) \
+            == (traces[0].switch_up, traces[0].switch_down)
+        for field, column in trace.table._asdict().items():
+            assert np.array_equal(column, getattr(traces[0].table, field),
+                                  equal_nan=column.dtype.kind == "f"), field
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
